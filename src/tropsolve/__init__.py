@@ -17,6 +17,8 @@ from .errors import (
 from .oracle import (
     CYCLE_ENUMERATION_CAP,
     DEFAULT_TOLERANCE,
+    GRID_ELEMENT_CAP,
+    THETA_ENUMERATION_CAP,
     FamilyFailure,
     FamilyReport,
     OracleReport,
@@ -24,10 +26,11 @@ from .oracle import (
     grid_min,
     sample_solution_family,
     scalar_close,
+    theta_enumeration_oracle,
+    trace_binomial_rhs,
 )
 from .semiring import MAX_PLUS, MIN_PLUS, Semifield, semifield_by_name
 from .solver import (
-    THETA_ENUMERATION_CAP,
     FeasibilityVerdict,
     InequalitySolution,
     ProblemInstance,
@@ -46,7 +49,6 @@ from .spectral import (
     is_irreducible,
     spectral_radius,
     spectral_summary,
-    trace_binomial_rhs,
 )
 from .tensor import (
     as_matrix,

@@ -22,7 +22,6 @@ from .oracle import grid_min, sample_solution_family, scalar_close
 from .semiring import MAX_PLUS, Semifield, semifield_by_name
 from .solver import (
     ProblemInstance,
-    THETA_ENUMERATION_CAP,
     check_hypotheses,
     compute_theta,
     solve_constrained,
@@ -157,9 +156,7 @@ def _cmd_solve(args) -> int:
     instance = ProblemInstance(
         _load_matrix(args.objective, sf), _load_matrix(args.constraint, sf), sf
     )
-    cone = solve_constrained(
-        instance, override_irreducibility=args.force, enumeration_cap=args.cap
-    )
+    cone = solve_constrained(instance, override_irreducibility=args.force)
     doc = _cone_doc(cone, check_hypotheses(instance.A, instance.B, sf), sf)
     if args.format == "json":
         _emit_json(doc)
@@ -236,7 +233,7 @@ def _cmd_theta(args) -> int:
     sf = args.sf
     A = _load_matrix(args.objective, sf)
     B = _load_matrix(args.constraint, sf)
-    value = compute_theta(A, B, sf, enumeration_cap=args.cap)
+    value = compute_theta(A, B, sf)
     doc = {"theta": sf.format_scalar(value)}
     if args.format == "json":
         _emit_json(doc)
@@ -276,9 +273,7 @@ def _cmd_verify(args) -> int:
     instance = ProblemInstance(
         _load_matrix(args.objective, sf), _load_matrix(args.constraint, sf), sf
     )
-    cone = solve_constrained(
-        instance, override_irreducibility=args.force, enumeration_cap=args.cap
-    )
+    cone = solve_constrained(instance, override_irreducibility=args.force)
     report = grid_min(instance, _parse_box(args.box), args.step)
     family = sample_solution_family(instance, cone, trials=args.trials, seed=args.seed)
     doc = {
@@ -324,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, constraint: bool):
+    def common(p, constraint: bool, force: bool = False):
         p.add_argument("-A", "--objective", required=True, help="matrix file")
         if constraint:
             p.add_argument("-B", "--constraint", required=True, help="constraint matrix file")
@@ -332,11 +327,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--semifield", choices=["max-plus", "min-plus"], default="max-plus"
         )
-        p.add_argument("--cap", type=int, default=THETA_ENUMERATION_CAP, metavar="N")
-        p.add_argument("--force", action="store_true", help="override the irreducibility hypothesis")
+        if force:
+            p.add_argument(
+                "--force", action="store_true", help="override the irreducibility hypothesis"
+            )
 
     p = sub.add_parser("solve", help="minimize x^- A x subject to B x <= x")
-    common(p, constraint=True)
+    common(p, constraint=True, force=True)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("unconstrained", help="minimize x^- A x over all regular x")
@@ -360,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_star)
 
     p = sub.add_parser("verify", help="cross-check a solve against the grid oracle")
-    common(p, constraint=True)
+    common(p, constraint=True, force=True)
     p.add_argument("--box", action="append", metavar="LO:HI", help="grid interval, repeatable")
     p.add_argument("--step", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=100)

@@ -3,37 +3,51 @@
 Nothing here reuses the solver's formulas.  ``grid_min`` lower-bounds the
 constrained minimum by direct evaluation over a lattice of candidate
 vectors, ``cycle_mean_oracle`` recomputes the spectral radius by
-exhaustive enumeration of simple cycles, and ``sample_solution_family``
-stress-tests a solution cone by drawing random regular combinations.
-Reports are deterministic: the same inputs and seed reproduce them
-byte for byte.
+exhaustive enumeration of simple cycles, ``theta_enumeration_oracle``
+evaluates the paper's ``2**n - 1``-term trace sum for the constrained
+minimum, ``trace_binomial_rhs`` expands ``tr (A (+) B)**m`` term by term,
+and ``sample_solution_family`` stress-tests a solution cone by drawing
+random regular combinations.  ``grid_min``, ``cycle_mean_oracle`` and
+``theta_enumeration_oracle`` have size caps and raise
+:class:`ResourceError` past them, before allocating.  Reports are
+deterministic: the same inputs and seed reproduce them byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import prod
 
 import numpy as np
 
 from .errors import DomainError, ResourceError, ShapeError
 from .semiring import MAX_PLUS, Semifield
 from .solver import ProblemInstance, SolutionCone, objective
-from .tensor import as_matrix, entrywise_leq, is_regular, mat_vec
+from .tensor import _mm, as_matrix, entrywise_leq, identity_matrix, is_regular, mat_vec, trace
 
 __all__ = [
     "DEFAULT_TOLERANCE",
     "CYCLE_ENUMERATION_CAP",
+    "THETA_ENUMERATION_CAP",
+    "GRID_ELEMENT_CAP",
     "OracleReport",
     "FamilyFailure",
     "FamilyReport",
     "grid_min",
     "cycle_mean_oracle",
+    "theta_enumeration_oracle",
+    "trace_binomial_rhs",
     "sample_solution_family",
     "scalar_close",
 ]
 
 DEFAULT_TOLERANCE = 1e-9
 CYCLE_ENUMERATION_CAP = 8
+# 2**n - 1 trace terms; past this the sum is refused rather than left to hang
+THETA_ENUMERATION_CAP = 20
+# entries of one (n, n, points) float64 temporary in grid_min, about 80 MB
+GRID_ELEMENT_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -113,13 +127,21 @@ def grid_min(
     n = instance.n
     grid_box = _normalize_box(box, n)
 
-    axes = []
-    for i, (lo, hi) in enumerate(grid_box):
-        if i == 0 and pin_first:
-            axes.append(np.array([sf.one]))
-        else:
-            count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-            axes.append(lo + step * np.arange(count))
+    # float counts, so a box too wide for the step reads as inf, not OverflowError
+    counts = [
+        1.0 if i == 0 and pin_first else float(np.floor((hi - lo) / step + 1e-9)) + 1
+        for i, (lo, hi) in enumerate(grid_box)
+    ]
+    entries = n * n * prod(counts)
+    if entries > GRID_ELEMENT_CAP:
+        raise ResourceError(
+            f"grid of {prod(counts):.4g} points at n = {n} needs {entries:.4g} temporary "
+            f"entries, over the cap of {GRID_ELEMENT_CAP}; narrow the box or coarsen the step"
+        )
+    axes = [
+        np.array([sf.one]) if i == 0 and pin_first else lo + step * np.arange(int(count))
+        for i, ((lo, _), count) in enumerate(zip(grid_box, counts))
+    ]
     mesh = np.meshgrid(*axes, indexing="ij")
     X = np.stack([m.reshape(-1) for m in mesh])  # (n, P), lexicographic point order
     total = X.shape[1]
@@ -184,6 +206,93 @@ def cycle_mean_oracle(
     for root in range(n):
         walk(root, root, 0.0, 0, {root})
     return best
+
+
+def _product_trace_sum(
+    A: np.ndarray,
+    b_powers: list[np.ndarray],
+    k: int,
+    budget: int,
+    exact: bool,
+    sf: Semifield,
+) -> float:
+    """(+)-sum of ``tr(A B**i1 ... A B**ik)`` over exponent tuples.
+
+    Enumerates k-tuples of nonnegative integers with sum equal to
+    ``budget`` (``exact=True``) or at most ``budget`` (``exact=False``),
+    reusing the prefix product across the recursion.  ``b_powers`` must
+    hold ``B**0 .. B**budget`` at least.
+    """
+    n = A.shape[0]
+    ab = [_mm(A, bp, sf) for bp in b_powers[: budget + 1]]
+    acc = sf.zero
+
+    def rec(prefix: np.ndarray, parts_left: int, budget_left: int) -> None:
+        nonlocal acc
+        if parts_left == 0:
+            acc = sf.add(acc, float(sf.np_reduce_add(np.diagonal(prefix))))
+            return
+        if exact and parts_left == 1:
+            rec(_mm(prefix, ab[budget_left], sf), 0, 0)
+            return
+        for i in range(budget_left + 1):
+            rec(_mm(prefix, ab[i], sf), parts_left - 1, budget_left - i)
+
+    rec(identity_matrix(n, sf), k, budget)
+    return acc
+
+
+def theta_enumeration_oracle(
+    A, B, sf: Semifield = MAX_PLUS, *, cap: int = THETA_ENUMERATION_CAP
+) -> float:
+    """The paper's closed form for the constrained minimum, term by term.
+
+    Enumerates, for each k = 1..n, every k-tuple of nonnegative integer
+    exponents with sum at most n - k, and takes the idempotent sum of the
+    k-th roots of ``tr(A B**i1 ... A B**ik)``.  Powers of ``B`` are cached;
+    the term count is ``2**n - 1``, so ``n`` beyond ``cap`` raises
+    :class:`ResourceError` instead of hanging.  Equals
+    :func:`tropsolve.solver.compute_theta` whenever ``Tr(B) <= 1``.
+    """
+    A, B = as_matrix(A, sf), as_matrix(B, sf)
+    if A.shape != B.shape or A.shape[0] != A.shape[1]:
+        raise ShapeError(f"expected equal square matrices, got {A.shape} and {B.shape}")
+    n = A.shape[0]
+    if n > cap:
+        raise ResourceError(
+            f"theta enumeration has 2**{n} - 1 trace terms; n = {n} exceeds the cap of {cap}"
+        )
+    b_powers = [identity_matrix(n, sf)]
+    for _ in range(n - 1):
+        b_powers.append(_mm(b_powers[-1], B, sf))
+    theta = sf.zero
+    for k in range(1, n + 1):
+        s = _product_trace_sum(A, b_powers, k, n - k, exact=False, sf=sf)
+        theta = sf.add(theta, sf.rational_pow(s, Fraction(1, k)))
+    return theta
+
+
+def trace_binomial_rhs(A, B, m: int, sf: Semifield = MAX_PLUS) -> float:
+    """Right-hand side of the binomial trace identity for ``tr (A (+) B)**m``.
+
+    Evaluates ``tr B**m  (+)  sum over k = 1..m, over compositions
+    i1 + ... + ik = m - k, of tr(A B**i1 ... A B**ik)``.  Exactly equal to
+    ``trace(mat_pow(mat_add(A, B), m))``; the term count is ``2**(m-1)``
+    plus one.
+    """
+    A, B = as_matrix(A, sf), as_matrix(B, sf)
+    if A.shape != B.shape or A.shape[0] != A.shape[1]:
+        raise ShapeError(f"expected equal square matrices, got {A.shape} and {B.shape}")
+    if m < 1 or m != int(m):
+        raise DomainError(f"the binomial identity wants an integer m >= 1, got {m!r}")
+    m = int(m)
+    b_powers = [identity_matrix(A.shape[0], sf)]
+    for _ in range(m):
+        b_powers.append(_mm(b_powers[-1], B, sf))
+    acc = trace(b_powers[m], sf)
+    for k in range(1, m + 1):
+        acc = sf.add(acc, _product_trace_sum(A, b_powers, k, m - k, exact=True, sf=sf))
+    return acc
 
 
 def sample_solution_family(

@@ -1,34 +1,44 @@
 """Closed-form minimization of ``x^- A x`` under the constraint ``B x <= x``.
 
 Everything here works over regular (zero-free) vectors ``x``.  The
-centerpiece is :func:`solve_constrained`: the constrained minimum has the
-closed form
+centerpiece is :func:`solve_constrained`.  The paper states the
+constrained minimum as a sum of ``2**n - 1`` trace terms,
 
     theta = (+) over k = 1..n, over exponent tuples with i1+...+ik <= n-k,
-            of tr(A B**i1 ... A B**ik) ** (1/k)
+            of tr(A B**i1 ... A B**ik) ** (1/k),
 
 and the optimizers are exactly ``x = (theta**-1 A (+) B)* u`` for regular
-``u``.  No iteration or refinement is involved; the supporting pieces are
-the feasibility function ``Tr``, the bounded Kleene star, and the
-spectral radius (which is the unconstrained minimum).
+``u``.  The solver evaluates the same value in polynomial time as
+
+    theta = lambda(A B*),
+
+the spectral radius of ``A`` times the bounded star of ``B``.  The two
+agree whenever ``Tr(B) <= 1``, which the solver requires anyway: a term
+of ``tr (A B*)**k`` is a closed walk with k A-edges; splitting it into
+simple cycles, the cycles made of B-edges alone weigh at most the
+identity, so dropping them does not lower the walk's weight per A-edge,
+and every simple cycle with at least one A-edge is a term of the paper's
+sum (Butkovic, *Max-linear Systems*, 2010, ch. 1).  The enumeration is
+kept as :func:`tropsolve.oracle.theta_enumeration_oracle` for checking.
+No iteration or refinement is involved; the supporting pieces are the
+feasibility function ``Tr``, the bounded Kleene star, and the spectral
+radius (which is the unconstrained minimum).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, HypothesisError, ResourceError, ShapeError
+from .errors import DomainError, HypothesisError, ShapeError
 from .semiring import MAX_PLUS, Semifield
-from .spectral import big_tr, is_irreducible, product_trace_sum, spectral_radius
+from .spectral import big_tr, is_irreducible, spectral_radius
 from .tensor import (
     as_matrix,
     as_vector,
     conjugate,
     entrywise_leq,
-    identity_matrix,
     is_regular,
     kleene_star,
     mat_add,
@@ -39,7 +49,6 @@ from .tensor import (
 )
 
 __all__ = [
-    "THETA_ENUMERATION_CAP",
     "ProblemInstance",
     "FeasibilityVerdict",
     "InequalitySolution",
@@ -52,10 +61,6 @@ __all__ = [
     "solve_unconstrained",
     "is_solution",
 ]
-
-# 2**n - 1 trace terms; past this the formula is refused rather than left to hang
-THETA_ENUMERATION_CAP = 20
-
 
 @dataclass(frozen=True)
 class ProblemInstance:
@@ -150,34 +155,31 @@ def solve_linear_inequality(A, sf: Semifield = MAX_PLUS) -> InequalitySolution:
     return InequalitySolution(verdict=verdict, generators=kleene_star(A, sf), warnings=warnings)
 
 
-def compute_theta(
-    A, B, sf: Semifield = MAX_PLUS, enumeration_cap: int = THETA_ENUMERATION_CAP
-) -> float:
-    """Closed-form constrained minimum of ``x^- A x`` subject to ``B x <= x``.
+def compute_theta(A, B, sf: Semifield = MAX_PLUS) -> float:
+    """Constrained minimum of ``x^- A x`` subject to ``B x <= x``.
 
-    Enumerates, for each k = 1..n, every k-tuple of nonnegative integer
-    exponents with sum at most n - k, and takes the idempotent sum of the
-    k-th roots of ``tr(A B**i1 ... A B**ik)``.  Powers of ``B`` are cached;
-    the term count is ``2**n - 1``, so ``n`` beyond ``enumeration_cap``
-    raises :class:`ResourceError` instead of hanging.
+    Computed as ``lambda(A B*)`` from one bounded star ``B*``, one
+    product and one spectral radius.  ``Tr(B)`` is read from the same
+    star as ``tr(B B*)``; it must be at most the identity, since
+    otherwise no regular point satisfies the constraint and the paper's
+    trace sum is not the minimum of anything, so :class:`HypothesisError`
+    is raised.  Under ``Tr(B) <= 1`` the value equals the paper's
+    ``2**n - 1``-term trace sum (see the module docstring), which
+    :func:`tropsolve.oracle.theta_enumeration_oracle` evaluates directly.
     """
     A, B = as_matrix(A, sf), as_matrix(B, sf)
     if A.shape[0] != A.shape[1] or A.shape != B.shape:
         raise ShapeError(f"expected equal square matrices, got {A.shape} and {B.shape}")
-    n = A.shape[0]
-    if n > enumeration_cap:
-        raise ResourceError(
-            f"theta enumeration has 2**{n} - 1 trace terms; n = {n} exceeds the cap "
-            f"of {enumeration_cap} (raise enumeration_cap to override)"
+    b_star = kleene_star(B, sf)
+    # tr(B B*) = (+)_ik B_ik (x) B*_ki, read without forming the product
+    tr_b = sf.scalar(sf.np_reduce_add(B + b_star.T))
+    if not sf.leq(tr_b, sf.one):
+        raise HypothesisError(
+            f"Tr(B) = {sf.format_scalar(tr_b)} exceeds the identity: "
+            "constraint set has no regular point",
+            hypothesis="constraint feasibility",
         )
-    b_powers = [identity_matrix(n, sf)]
-    for _ in range(n - 1):
-        b_powers.append(_mm(b_powers[-1], B, sf))
-    theta = sf.zero
-    for k in range(1, n + 1):
-        s = product_trace_sum(A, b_powers, k, n - k, exact=False, sf=sf)
-        theta = sf.add(theta, sf.rational_pow(s, Fraction(1, k)))
-    return theta
+    return spectral_radius(_mm(A, b_star, sf), sf)
 
 
 def check_hypotheses(A, B, sf: Semifield = MAX_PLUS) -> dict[str, bool]:
@@ -194,7 +196,6 @@ def solve_constrained(
     instance: ProblemInstance,
     *,
     override_irreducibility: bool = False,
-    enumeration_cap: int = THETA_ENUMERATION_CAP,
     reduce: bool = True,
 ) -> SolutionCone:
     """Solve ``min x^- A x`` subject to ``B x <= x`` in closed form.
@@ -223,14 +224,7 @@ def solve_constrained(
             f"spectral radius of A is {sf.format_scalar(sf.zero)}",
             hypothesis="spectral radius",
         )
-    tr_b = big_tr(B, sf)
-    if not sf.leq(tr_b, sf.one):
-        raise HypothesisError(
-            f"Tr(B) = {sf.format_scalar(tr_b)} exceeds the identity: "
-            "constraint set has no regular point",
-            hypothesis="constraint feasibility",
-        )
-    theta = compute_theta(A, B, sf, enumeration_cap)
+    theta = compute_theta(A, B, sf)
     combined = mat_add(scalar_mul(sf.inv(theta), A, sf), B, sf)
     closure = kleene_star(combined, sf)
     if not is_irreducible(combined, sf):

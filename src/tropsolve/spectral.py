@@ -4,9 +4,9 @@ The spectral radius of a square matrix is computed from traces of its
 powers; it equals the extremal value ``min over regular x of x^- A x``
 and the best cycle mean of the associated digraph.  ``big_tr`` is the
 related feasibility function deciding whether ``A x <= x`` has regular
-solutions.  ``trace_binomial_rhs`` evaluates the binomial trace expansion
-of ``tr (A (+) B)**m`` term by term; it exists chiefly so the identity
-can be verified against the direct computation.
+solutions.  Every trace is checked to be a scalar of the semifield, so
+an overflow to the wrong-sign infinity raises :class:`DomainError`
+instead of passing for a value.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ShapeError
 from .semiring import MAX_PLUS, Semifield
-from .tensor import _mm, as_matrix, identity_matrix, trace
+from .tensor import _mm, as_matrix
 
 __all__ = [
     "SpectralSummary",
@@ -26,7 +26,6 @@ __all__ = [
     "spectral_radius",
     "big_tr",
     "is_irreducible",
-    "trace_binomial_rhs",
 ]
 
 
@@ -47,7 +46,7 @@ def _power_traces(A: np.ndarray, sf: Semifield) -> list[tuple[int, float]]:
     out = []
     P = A
     for m in range(1, n + 1):
-        out.append((m, float(sf.np_reduce_add(np.diagonal(P)))))
+        out.append((m, sf.scalar(sf.np_reduce_add(np.diagonal(P)))))
         if m < n:
             P = _mm(P, A, sf)
     return out
@@ -114,60 +113,3 @@ def is_irreducible(A, sf: Semifield = MAX_PLUS) -> bool:
     fwd = [list(np.nonzero(pattern[i])[0]) for i in range(n)]
     bwd = [list(np.nonzero(pattern[:, i])[0]) for i in range(n)]
     return bool(_reachable(fwd, 0).all() and _reachable(bwd, 0).all())
-
-
-def product_trace_sum(
-    A: np.ndarray,
-    b_powers: list[np.ndarray],
-    k: int,
-    budget: int,
-    exact: bool,
-    sf: Semifield,
-) -> float:
-    """(+)-sum of ``tr(A B**i1 ... A B**ik)`` over exponent tuples.
-
-    Enumerates k-tuples of nonnegative integers with sum equal to
-    ``budget`` (``exact=True``) or at most ``budget`` (``exact=False``),
-    reusing the prefix product across the recursion.  ``b_powers`` must
-    hold ``B**0 .. B**budget`` at least.
-    """
-    n = A.shape[0]
-    ab = [_mm(A, bp, sf) for bp in b_powers[: budget + 1]]
-    acc = sf.zero
-
-    def rec(prefix: np.ndarray, parts_left: int, budget_left: int) -> None:
-        nonlocal acc
-        if parts_left == 0:
-            acc = sf.add(acc, float(sf.np_reduce_add(np.diagonal(prefix))))
-            return
-        if exact and parts_left == 1:
-            rec(_mm(prefix, ab[budget_left], sf), 0, 0)
-            return
-        for i in range(budget_left + 1):
-            rec(_mm(prefix, ab[i], sf), parts_left - 1, budget_left - i)
-
-    rec(identity_matrix(n, sf), k, budget)
-    return acc
-
-
-def trace_binomial_rhs(A, B, m: int, sf: Semifield = MAX_PLUS) -> float:
-    """Right-hand side of the binomial trace identity for ``tr (A (+) B)**m``.
-
-    Evaluates ``tr B**m  (+)  sum over k = 1..m, over compositions
-    i1 + ... + ik = m - k, of tr(A B**i1 ... A B**ik)``.  Exactly equal to
-    ``trace(mat_pow(mat_add(A, B), m))``; the term count is ``2**(m-1)``
-    plus one.
-    """
-    A, B = as_matrix(A, sf), as_matrix(B, sf)
-    if A.shape != B.shape or A.shape[0] != A.shape[1]:
-        raise ShapeError(f"expected equal square matrices, got {A.shape} and {B.shape}")
-    if m < 1 or m != int(m):
-        raise DomainError(f"the binomial identity wants an integer m >= 1, got {m!r}")
-    m = int(m)
-    b_powers = [identity_matrix(A.shape[0], sf)]
-    for _ in range(m):
-        b_powers.append(_mm(b_powers[-1], B, sf))
-    acc = trace(b_powers[m], sf)
-    for k in range(1, m + 1):
-        acc = sf.add(acc, product_trace_sum(A, b_powers, k, m - k, exact=True, sf=sf))
-    return acc

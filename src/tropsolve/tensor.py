@@ -162,7 +162,8 @@ def kleene_star(A, sf: Semifield = MAX_PLUS) -> np.ndarray:
 
     Horner-style accumulation, n - 1 multiply-adds.  When every cycle
     weight is at most the identity (``Tr(A) <= 1``) this generates all
-    regular solutions of ``A x <= x``.
+    regular solutions of ``A x <= x``.  A path weight that overflows to
+    the wrong-sign infinity raises :class:`DomainError`.
     """
     A = as_matrix(A, sf)
     n = _square(A)
@@ -170,6 +171,7 @@ def kleene_star(A, sf: Semifield = MAX_PLUS) -> np.ndarray:
     S = I
     for _ in range(n - 1):
         S = sf.np_add(I, _mm(A, S, sf))
+    _check_entries(S, sf)
     return S
 
 

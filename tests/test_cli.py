@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -137,6 +138,26 @@ class TestTextMode:
         assert out == "2 2\n0 -8\n5 0\n"
         assert np.array_equal(parse_matrix(out), [[0.0, -8.0], [5.0, 0.0]])
 
+    def test_theta_and_solve_at_n_21(self, tmp_path, capsys):
+        # One Hamiltonian cycle i -> i+1 (mod 21).  A weighs 2L on 0 -> 1 and
+        # -L elsewhere; B offers weight 0 on every edge but 0 -> 1.  The best
+        # walk takes A once and B around the rest, so theta = 2L, while
+        # lambda(A) = -18L/21.  L = lcm(1..21) keeps every k-th root exact.
+        n, L = 21, math.lcm(*range(1, 22))
+        A = np.full((n, n), NEG_INF)
+        B = np.full((n, n), NEG_INF)
+        for i in range(n):
+            A[i, (i + 1) % n] = -L
+            B[i, (i + 1) % n] = 0.0
+        A[0, 1], B[0, 1] = 2 * L, NEG_INF
+        a, b = tmp_path / "a21.mat", tmp_path / "b21.mat"
+        a.write_text(format_matrix(A))
+        b.write_text(format_matrix(B))
+        assert main(["theta", "-A", str(a), "-B", str(b)]) == 0
+        assert capsys.readouterr().out == f"theta = {2 * L}\n"
+        assert main(["solve", "-A", str(a), "-B", str(b)]) == 0
+        assert capsys.readouterr().out.startswith(f"theta = {2 * L}\n")
+
     def test_unconstrained(self, matrix_files, capsys):
         assert main(["unconstrained", "-A", matrix_files["a.mat"]]) == 0
         out = capsys.readouterr().out
@@ -219,11 +240,22 @@ class TestErrorChannels:
         assert main(["spectral", "-A", matrix_files["a.mat"], "--semifield", "min-plus"]) == 0
         assert "lambda = -4" in capsys.readouterr().out
 
-    def test_enumeration_cap_exits_two(self, matrix_files, capsys):
-        code = main(["theta", "-A", matrix_files["a.mat"], "-B", matrix_files["b.mat"],
-                     "--cap", "1"])
+    def test_grid_cap_exits_two(self, tmp_path, capsys):
+        # n = 6 with the default box is 21**5 grid points
+        a = tmp_path / "a6.mat"
+        a.write_text(format_matrix(np.zeros((6, 6))))
+        code = main(["verify", "-A", str(a), "-B", str(a)])
+        captured = capsys.readouterr()
         assert code == 2
-        assert "cap" in capsys.readouterr().err
+        assert captured.out == ""
+        assert "cap" in captured.err
+
+    def test_options_belong_to_the_subcommands_that_read_them(self, matrix_files, capsys):
+        files = ["-A", matrix_files["a.mat"], "-B", matrix_files["b.mat"]]
+        assert main(["solve", *files, "--force"]) == 0
+        assert main(["theta", *files, "--force"]) == 2
+        assert main(["solve", *files, "--cap", "20"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_trop_color_styles_diagnostics(self, matrix_files, capsys, monkeypatch):
         monkeypatch.setenv("TROP_COLOR", "1")

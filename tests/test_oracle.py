@@ -77,6 +77,33 @@ class TestGridMin:
         with pytest.raises(DomainError):
             ts.grid_min(worked_instance(), (10.0, -10.0), 1.0)
 
+    def test_size_cap(self):
+        # default box, step 1: n = 4 needs 4 * 4 * 21**3 = 148176 entries
+        Z4 = ts.zero_matrix(4)
+        np.fill_diagonal(Z4, 0.0)
+        report = ts.grid_min(ts.ProblemInstance(Z4, Z4), (-10.0, 10.0), 1.0)
+        assert report.samples_evaluated == 21**3
+        Z6 = ts.zero_matrix(6)
+        with pytest.raises(ResourceError, match="cap"):
+            ts.grid_min(ts.ProblemInstance(Z6, Z6), (-10.0, 10.0), 1.0)
+        # a box too wide for its step is refused, not overflowed
+        with pytest.raises(ResourceError):
+            ts.grid_min(worked_instance(), (-1e308, 1e308), 1e-300)
+
+
+class TestThetaEnumerationOracle:
+    def test_worked_example(self):
+        # terms: tr A = 0 at k = 1; tr(A B) = 2 and tr(A A) = 0 at k = 2
+        assert ts.theta_enumeration_oracle(A2, B2) == 2.0
+
+    def test_matches_compute_theta_when_constraint_feasible(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            instance = make_constrained_instance(rng, n, multiple_of=60)
+            expected = ts.theta_enumeration_oracle(instance.A, instance.B)
+            assert ts.compute_theta(instance.A, instance.B) == expected
+
 
 class TestCycleMeanOracle:
     def test_worked_example(self):

@@ -100,19 +100,37 @@ class TestComputeTheta:
         assert ts.compute_theta([[4.0]], [[-1.0]]) == 4.0
 
     def test_never_below_the_spectral_radius(self):
+        # outside Tr(B) <= 1 compute_theta refuses; the paper's sum still
+        # bounds lambda(A) from above there
         rng = np.random.default_rng(38)
         for _ in range(300):
             n = int(rng.integers(1, 5))
             A, B = rand_matrix(rng, n), rand_matrix(rng, n)
-            assert MAX_PLUS.leq(ts.spectral_radius(A), ts.compute_theta(A, B))
+            lam = ts.spectral_radius(A)
+            if MAX_PLUS.leq(ts.big_tr(B), MAX_PLUS.one):
+                assert MAX_PLUS.leq(lam, ts.compute_theta(A, B))
+            else:
+                with pytest.raises(HypothesisError) as exc:
+                    ts.compute_theta(A, B)
+                assert exc.value.hypothesis == "constraint feasibility"
+                assert MAX_PLUS.leq(lam, ts.theta_enumeration_oracle(A, B))
 
     def test_enumeration_cap(self):
         n = 21
         A = ts.identity_matrix(n)
         with pytest.raises(ResourceError):
-            ts.compute_theta(A, A)
+            ts.theta_enumeration_oracle(A, A)
         with pytest.raises(ResourceError):
-            ts.compute_theta(ts.identity_matrix(5), ts.identity_matrix(5), enumeration_cap=4)
+            ts.theta_enumeration_oracle(ts.identity_matrix(5), ts.identity_matrix(5), cap=4)
+        # the solver's formula has no cap
+        assert ts.compute_theta(A, A) == 0.0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            ts.compute_theta([[1e308] * 2] * 2, [[-1.0, -1.0], [-1.0, -1.0]])
+        with pytest.raises(DomainError):
+            ts.compute_theta([[0.0] * 2] * 2, [[-1.0, 1e308], [1e308, -1.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -172,6 +190,28 @@ class TestSolveConstrained:
         report = ts.sample_solution_family(instance, cone, trials=200, seed=2)
         real = [f for f in report.failures if f.kind != "regularity"]
         assert real == []
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_is_a_domain_error(self):
+        instance = ts.ProblemInstance([[1e308] * 2] * 2, [[-1.0, -1.0], [-1.0, -1.0]])
+        with pytest.raises(DomainError):
+            ts.solve_constrained(instance)
+
+    def test_n_64_solve_attains_planted_theta(self):
+        # A <= 0 except a self-loop of weight 5 and B <= 0: every closed walk
+        # of A (+) B weighs at most 5 per A-edge, and the self-loop attains it;
+        # a zero-weight Hamiltonian cycle keeps A irreducible
+        rng = np.random.default_rng(39)
+        n = 64
+        A = rand_matrix(rng, n, lo=-9, hi=0, zero_density=0.3)
+        np.fill_diagonal(A[:, 1:], 0.0)
+        A[-1, 0] = 0.0
+        A[0, 0] = 5.0
+        B = rand_matrix(rng, n, lo=-9, hi=0, zero_density=0.5)
+        instance = ts.ProblemInstance(A, B)
+        cone = ts.solve_constrained(instance)
+        assert cone.theta == 5.0
+        assert ts.sample_solution_family(instance, cone, trials=50, seed=4).passed
 
     def test_override_does_not_bypass_feasibility(self):
         B = ts.as_matrix([[1.0, -8.0], [5.0, -3.0]])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tropsolve as ts
-from tropsolve import MAX_PLUS, ShapeError
+from tropsolve import MAX_PLUS, MIN_PLUS, DomainError, ShapeError
 
 from helpers import (
     NEG_INF,
@@ -59,6 +59,13 @@ class TestSpectralRadius:
         with pytest.raises(ShapeError):
             ts.spectral_radius(ts.zero_matrix(2, 3))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            ts.spectral_radius([[1e308] * 2] * 2)
+        with pytest.raises(DomainError):
+            ts.spectral_radius(ts.as_matrix([[-1e308] * 2] * 2, MIN_PLUS), MIN_PLUS)
+
 
 class TestExtremalProperty:
     def test_objective_is_bounded_below_by_radius(self):
@@ -93,6 +100,11 @@ class TestBigTr:
         assert ts.big_tr(ts.zero_matrix(3)) == NEG_INF
         assert ts.big_tr(ts.identity_matrix(3)) == MAX_PLUS.one
         assert ts.big_tr([[1.0, -8.0], [5.0, -3.0]]) == 2.0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            ts.big_tr([[1e308] * 2] * 2)
 
 
 class TestIrreducibility:

@@ -136,6 +136,11 @@ class TestKleeneStar:
         assert S[0, 2] == 5.0  # 0 -> 1 -> 2
         assert S[2, 1] == 6.0  # 2 -> 0 -> 1
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            ts.kleene_star([[1e308] * 3] * 3)
+
 
 class TestTraceLaws:
     def test_trace_of_products_commutes(self):
