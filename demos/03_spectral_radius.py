@@ -1,4 +1,4 @@
-"""Spectral radius: trace formula versus exhaustive cycle enumeration.
+"""Spectral radius: Karp's cycle mean, the trace formula and cycle enumeration.
 
 Run with:  python3 demos/03_spectral_radius.py
 """
@@ -9,11 +9,13 @@ import tropsolve as ts
 
 A = ts.as_matrix([[0, -3], [-5, -2]])
 
-# The spectral radius is the max over m of the m-th root of tr(A^m);
-# equivalently, the best mean weight of a cycle in the weighted digraph.
+# The spectral radius is the best mean weight of a cycle in the weighted
+# digraph, computed by Karp's algorithm; the paper writes it as the max
+# over m of the m-th root of tr(A^m), which spectral_summary also reports.
 summary = ts.spectral_summary(A)
 print("per-power traces:", summary.per_power_traces)
 print("spectral radius:", summary.radius)
+print("trace formula agrees:", max(t / m for m, t in summary.per_power_traces) == summary.radius)
 print("cycle-mean oracle agrees:", ts.cycle_mean_oracle(A) == summary.radius)
 
 # It is also the minimum of x^- A x over regular x, attained on the

@@ -22,7 +22,6 @@ from .oracle import grid_min, sample_solution_family, scalar_close
 from .semiring import MAX_PLUS, Semifield, semifield_by_name
 from .solver import (
     ProblemInstance,
-    check_hypotheses,
     compute_theta,
     solve_constrained,
     solve_linear_inequality,
@@ -139,14 +138,14 @@ def _print_cone_text(doc: dict) -> None:
 # -- subcommand handlers ------------------------------------------------------
 
 
-def _cone_doc(cone, hypotheses: dict, sf: Semifield) -> dict:
+def _cone_doc(cone, sf: Semifield) -> dict:
     return {
         "theta": sf.format_scalar(cone.theta),
         "closure": _matrix_tokens(cone.closure_matrix, sf),
         "generators": _matrix_tokens(cone.generators, sf),
         "reduced": cone.reduced,
         "degenerate": cone.degenerate,
-        "hypotheses": hypotheses,
+        "hypotheses": cone.hypotheses,
         "warnings": list(cone.warnings),
     }
 
@@ -157,7 +156,7 @@ def _cmd_solve(args) -> int:
         _load_matrix(args.objective, sf), _load_matrix(args.constraint, sf), sf
     )
     cone = solve_constrained(instance, override_irreducibility=args.force)
-    doc = _cone_doc(cone, check_hypotheses(instance.A, instance.B, sf), sf)
+    doc = _cone_doc(cone, sf)
     if args.format == "json":
         _emit_json(doc)
     else:
@@ -169,14 +168,7 @@ def _cmd_unconstrained(args) -> int:
     sf = args.sf
     A = _load_matrix(args.objective, sf)
     cone = solve_unconstrained(A, sf)
-    doc = _cone_doc(
-        cone,
-        {
-            "irreducible_A": True,
-            "spectral_radius_positive": True,
-        },
-        sf,
-    )
+    doc = _cone_doc(cone, sf)
     if args.format == "json":
         _emit_json(doc)
     else:
@@ -344,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, constraint=False)
     p.set_defaults(func=_cmd_inequality)
 
-    p = sub.add_parser("spectral", help="spectral radius via traces of powers")
+    p = sub.add_parser("spectral", help="spectral radius and the traces of powers")
     common(p, constraint=False)
     p.set_defaults(func=_cmd_spectral)
 

@@ -7,10 +7,11 @@ exhaustive enumeration of simple cycles, ``theta_enumeration_oracle``
 evaluates the paper's ``2**n - 1``-term trace sum for the constrained
 minimum, ``trace_binomial_rhs`` expands ``tr (A (+) B)**m`` term by term,
 and ``sample_solution_family`` stress-tests a solution cone by drawing
-random regular combinations.  ``grid_min``, ``cycle_mean_oracle`` and
-``theta_enumeration_oracle`` have size caps and raise
-:class:`ResourceError` past them, before allocating.  Reports are
-deterministic: the same inputs and seed reproduce them byte for byte.
+random regular combinations.  ``grid_min``, ``cycle_mean_oracle``,
+``theta_enumeration_oracle`` and ``trace_binomial_rhs`` have size caps
+and raise :class:`ResourceError` past them, before allocating.  Reports
+are deterministic: the same inputs and seed reproduce them byte for
+byte.
 """
 
 from __future__ import annotations
@@ -278,7 +279,8 @@ def trace_binomial_rhs(A, B, m: int, sf: Semifield = MAX_PLUS) -> float:
     Evaluates ``tr B**m  (+)  sum over k = 1..m, over compositions
     i1 + ... + ik = m - k, of tr(A B**i1 ... A B**ik)``.  Exactly equal to
     ``trace(mat_pow(mat_add(A, B), m))``; the term count is ``2**(m-1)``
-    plus one.
+    plus one, so ``m`` beyond ``THETA_ENUMERATION_CAP`` raises
+    :class:`ResourceError` instead of hanging.
     """
     A, B = as_matrix(A, sf), as_matrix(B, sf)
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
@@ -286,6 +288,11 @@ def trace_binomial_rhs(A, B, m: int, sf: Semifield = MAX_PLUS) -> float:
     if m < 1 or m != int(m):
         raise DomainError(f"the binomial identity wants an integer m >= 1, got {m!r}")
     m = int(m)
+    if m > THETA_ENUMERATION_CAP:
+        raise ResourceError(
+            f"the binomial expansion has 2**{m - 1} + 1 trace terms; "
+            f"m = {m} exceeds the cap of {THETA_ENUMERATION_CAP}"
+        )
     b_powers = [identity_matrix(A.shape[0], sf)]
     for _ in range(m):
         b_powers.append(_mm(b_powers[-1], B, sf))

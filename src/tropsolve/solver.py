@@ -8,7 +8,7 @@ constrained minimum as a sum of ``2**n - 1`` trace terms,
             of tr(A B**i1 ... A B**ik) ** (1/k),
 
 and the optimizers are exactly ``x = (theta**-1 A (+) B)* u`` for regular
-``u``.  The solver evaluates the same value in polynomial time as
+``u``.  The solver evaluates the same value in ``O(n**3 log n)`` time as
 
     theta = lambda(A B*),
 
@@ -22,30 +22,29 @@ sum (Butkovic, *Max-linear Systems*, 2010, ch. 1).  The enumeration is
 kept as :func:`tropsolve.oracle.theta_enumeration_oracle` for checking.
 No iteration or refinement is involved; the supporting pieces are the
 feasibility function ``Tr``, the bounded Kleene star, and the spectral
-radius (which is the unconstrained minimum).
+radius (which is the unconstrained minimum).  Public functions validate
+their inputs once and then call the private kernels of the tensor and
+spectral layers on the trusted arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, HypothesisError, ShapeError
 from .semiring import MAX_PLUS, Semifield
-from .spectral import big_tr, is_irreducible, spectral_radius
+from .spectral import _irreducible, _karp, _tr
 from .tensor import (
+    _as_square,
+    _check_entries,
+    _mm,
+    _mv,
+    _reduce,
+    _star,
     as_matrix,
     as_vector,
-    conjugate,
-    entrywise_leq,
-    is_regular,
-    kleene_star,
-    mat_add,
-    mat_vec,
-    reduce_generators,
-    scalar_mul,
-    _mm,
 )
 
 __all__ = [
@@ -110,7 +109,9 @@ class SolutionCone:
     ``closure_matrix`` is the full star matrix before collinear columns
     are dropped.  ``degenerate`` flags generator columns containing zero
     elements (possible only for reducible inputs under an override);
-    combinations must then still use regular ``u``.
+    combinations must then still use regular ``u``.  ``hypotheses``
+    records each solver hypothesis as evaluated during the solve, keyed
+    as in :func:`check_hypotheses`.
     """
 
     theta: float
@@ -119,17 +120,24 @@ class SolutionCone:
     reduced: bool
     degenerate: bool = False
     warnings: tuple[str, ...] = ()
+    hypotheses: dict[str, bool] = field(default_factory=dict)
+
+
+def _regular_vector(x, sf: Semifield, what: str) -> np.ndarray:
+    x = as_vector(x, sf)
+    if bool(np.any(x == sf.zero)):
+        raise DomainError(f"{what} is defined for regular vectors only")
+    return x
 
 
 def objective(A, x, sf: Semifield = MAX_PLUS) -> float:
     """Value ``x^- (x) A (x) x`` of the objective at a regular vector."""
     A = as_matrix(A, sf)
-    x = as_vector(x, sf)
-    if not is_regular(x, sf):
-        raise DomainError("objective is defined for regular vectors only")
+    x = _regular_vector(x, sf, "objective")
     if A.shape[0] != A.shape[1] or A.shape[1] != x.shape[0]:
         raise ShapeError(f"dimension mismatch {A.shape} vs {x.shape}")
-    return float(sf.np_reduce_add(conjugate(x, sf) + mat_vec(A, x, sf)))
+    # the conjugate of a regular x is -x (+ 0.0 turns -0.0 into 0.0)
+    return float(sf.np_reduce_add((-x + 0.0) + _mv(A, x, sf)))
 
 
 def solve_linear_inequality(A, sf: Semifield = MAX_PLUS) -> InequalitySolution:
@@ -141,25 +149,47 @@ def solve_linear_inequality(A, sf: Semifield = MAX_PLUS) -> InequalitySolution:
     the star family is guaranteed for irreducible ``A``; for reducible
     ``A`` the family is still sound and the result carries a warning.
     """
-    A = as_matrix(A, sf)
-    tr_value = big_tr(A, sf)
+    A = _as_square(A, sf)
+    star = _star(A, sf)
+    tr_value = _tr(A, star, sf)
     feasible = sf.leq(tr_value, sf.one)
     verdict = FeasibilityVerdict(feasible=feasible, tr_value=tr_value)
     if not feasible:
         return InequalitySolution(verdict=verdict, generators=None)
     warnings = ()
-    if not is_irreducible(A, sf):
+    if not _irreducible(A, sf):
         warnings = (
             "completeness unverified: matrix is reducible, the star family may omit solutions",
         )
-    return InequalitySolution(verdict=verdict, generators=kleene_star(A, sf), warnings=warnings)
+    return InequalitySolution(verdict=verdict, generators=star, warnings=warnings)
+
+
+def _theta(A: np.ndarray, B: np.ndarray, sf: Semifield) -> float:
+    # one star of B gives both Tr(B) = tr(B B*) and theta = lambda(A B*)
+    b_star = _star(B, sf)
+    tr_b = _tr(B, b_star, sf)
+    if not sf.leq(tr_b, sf.one):
+        raise HypothesisError(
+            f"Tr(B) = {sf.format_scalar(tr_b)} exceeds the identity: "
+            "constraint set has no regular point",
+            hypothesis="constraint feasibility",
+        )
+    return _karp(_mm(A, b_star, sf), sf)
+
+
+def _combined(theta: float, A: np.ndarray, B: np.ndarray, sf: Semifield) -> np.ndarray:
+    # theta**-1 A (+) B, checked: an overflow raises DomainError
+    combined = sf.np_add(sf.scalar(sf.inv(theta)) + A, B)
+    _check_entries(combined, sf)
+    return combined
 
 
 def compute_theta(A, B, sf: Semifield = MAX_PLUS) -> float:
     """Constrained minimum of ``x^- A x`` subject to ``B x <= x``.
 
     Computed as ``lambda(A B*)`` from one bounded star ``B*``, one
-    product and one spectral radius.  ``Tr(B)`` is read from the same
+    product and one spectral radius (Karp's algorithm), in
+    ``O(n**3 log n)`` time.  ``Tr(B)`` is read from the same
     star as ``tr(B B*)``; it must be at most the identity, since
     otherwise no regular point satisfies the constraint and the paper's
     trace sum is not the minimum of anything, so :class:`HypothesisError`
@@ -170,25 +200,20 @@ def compute_theta(A, B, sf: Semifield = MAX_PLUS) -> float:
     A, B = as_matrix(A, sf), as_matrix(B, sf)
     if A.shape[0] != A.shape[1] or A.shape != B.shape:
         raise ShapeError(f"expected equal square matrices, got {A.shape} and {B.shape}")
-    b_star = kleene_star(B, sf)
-    # tr(B B*) = (+)_ik B_ik (x) B*_ki, read without forming the product
-    tr_b = sf.scalar(sf.np_reduce_add(B + b_star.T))
-    if not sf.leq(tr_b, sf.one):
-        raise HypothesisError(
-            f"Tr(B) = {sf.format_scalar(tr_b)} exceeds the identity: "
-            "constraint set has no regular point",
-            hypothesis="constraint feasibility",
-        )
-    return spectral_radius(_mm(A, b_star, sf), sf)
+    return _theta(A, B, sf)
 
 
 def check_hypotheses(A, B, sf: Semifield = MAX_PLUS) -> dict[str, bool]:
-    """Evaluate the hypotheses under which the closed form is complete."""
+    """Evaluate the hypotheses under which the closed form is complete.
+
+    :func:`solve_constrained` records the same dictionary on its cone.
+    """
+    A, B = _as_square(A, sf), _as_square(B, sf)
     return {
-        "irreducible_A": is_irreducible(A, sf),
-        "irreducible_B": is_irreducible(B, sf),
-        "spectral_radius_positive": spectral_radius(A, sf) != sf.zero,
-        "constraint_feasible": sf.leq(big_tr(B, sf), sf.one),
+        "irreducible_A": _irreducible(A, sf),
+        "irreducible_B": _irreducible(B, sf),
+        "spectral_radius_positive": _karp(A, sf) != sf.zero,
+        "constraint_feasible": sf.leq(_tr(B, _star(B, sf), sf), sf.one),
     }
 
 
@@ -211,25 +236,29 @@ def solve_constrained(
     Returns the minimum ``theta``, the closure ``(theta**-1 A (+) B)*``,
     and its columns with collinear duplicates removed; every ``x =
     generators (x) u`` with regular ``u`` is feasible and attains
-    ``theta``.
+    ``theta``.  Each hypothesis is evaluated once and recorded on the
+    cone's ``hypotheses``.
     """
     A, B, sf = instance.A, instance.B, instance.semifield
     warnings: list[str] = []
-    if not (is_irreducible(A, sf) or is_irreducible(B, sf)):
+    irreducible_a, irreducible_b = _irreducible(A, sf), _irreducible(B, sf)
+    if not (irreducible_a or irreducible_b):
         if not override_irreducibility:
             raise HypothesisError("neither A nor B irreducible", hypothesis="irreducibility")
         warnings.append("completeness unverified: neither A nor B is irreducible")
-    if spectral_radius(A, sf) == sf.zero:
+    if _karp(A, sf) == sf.zero:
         raise HypothesisError(
             f"spectral radius of A is {sf.format_scalar(sf.zero)}",
             hypothesis="spectral radius",
         )
-    theta = compute_theta(A, B, sf)
-    combined = mat_add(scalar_mul(sf.inv(theta), A, sf), B, sf)
-    closure = kleene_star(combined, sf)
-    if not is_irreducible(combined, sf):
+    theta = _theta(A, B, sf)
+    combined = _combined(theta, A, B, sf)
+    closure = _star(combined, sf)
+    # theta is finite, so the combined digraph is the union of those of A
+    # and B, strongly connected as soon as one of them is
+    if not (irreducible_a or irreducible_b or _irreducible(combined, sf)):
         warnings.append("combined matrix theta**-1 A (+) B is reducible; completeness unverified")
-    generators = reduce_generators(closure, sf) if reduce else closure.copy()
+    generators = _reduce(closure, sf) if reduce else closure.copy()
     degenerate = bool((generators == sf.zero).any())
     if degenerate:
         warnings.append("some generator columns are not regular; use regular u only")
@@ -240,6 +269,12 @@ def solve_constrained(
         reduced=reduce,
         degenerate=degenerate,
         warnings=tuple(warnings),
+        hypotheses={
+            "irreducible_A": irreducible_a,
+            "irreducible_B": irreducible_b,
+            "spectral_radius_positive": True,
+            "constraint_feasible": True,
+        },
     )
 
 
@@ -249,22 +284,23 @@ def solve_unconstrained(A, sf: Semifield = MAX_PLUS, *, reduce: bool = True) -> 
     The minimum is the spectral radius ``lam`` of the irreducible matrix
     ``A`` and the optimizers are ``x = (lam**-1 A)* u`` for regular ``u``.
     """
-    A = as_matrix(A, sf)
-    if not is_irreducible(A, sf):
+    A = _as_square(A, sf)
+    if not _irreducible(A, sf):
         raise HypothesisError("matrix is not irreducible", hypothesis="irreducibility")
-    lam = spectral_radius(A, sf)
+    lam = _karp(A, sf)
     if lam == sf.zero:
         raise HypothesisError(
             f"spectral radius is {sf.format_scalar(sf.zero)}", hypothesis="spectral radius"
         )
-    closure = kleene_star(scalar_mul(sf.inv(lam), A, sf), sf)
-    generators = reduce_generators(closure, sf) if reduce else closure.copy()
+    closure = _star(sf.inv(lam) + A, sf)
+    generators = _reduce(closure, sf) if reduce else closure.copy()
     return SolutionCone(
         theta=lam,
         generators=generators,
         closure_matrix=closure,
         reduced=reduce,
         degenerate=bool((generators == sf.zero).any()),
+        hypotheses={"irreducible_A": True, "spectral_radius_positive": True},
     )
 
 
@@ -275,8 +311,8 @@ def is_solution(instance: ProblemInstance, theta: float, x) -> bool:
     elementwise, equivalently iff the closure fixes it.
     """
     sf = instance.semifield
-    x = as_vector(x, sf)
-    if not is_regular(x, sf):
-        raise DomainError("optimizer membership is defined for regular vectors only")
-    combined = mat_add(scalar_mul(sf.inv(theta), instance.A, sf), instance.B, sf)
-    return entrywise_leq(mat_vec(combined, x, sf), x, sf)
+    x = _regular_vector(x, sf, "optimizer membership")
+    if x.shape[0] != instance.n:
+        raise ShapeError(f"dimension mismatch {instance.A.shape} vs {x.shape}")
+    combined = _combined(theta, instance.A, instance.B, sf)
+    return bool(np.all(sf.np_add(_mv(combined, x, sf), x) == x))

@@ -1,24 +1,26 @@
 """Spectral radius, the Tr feasibility function, and irreducibility.
 
-The spectral radius of a square matrix is computed from traces of its
-powers; it equals the extremal value ``min over regular x of x^- A x``
-and the best cycle mean of the associated digraph.  ``big_tr`` is the
-related feasibility function deciding whether ``A x <= x`` has regular
-solutions.  Every trace is checked to be a scalar of the semifield, so
-an overflow to the wrong-sign infinity raises :class:`DomainError`
-instead of passing for a value.
+The spectral radius of a square matrix is the best cycle mean of its
+digraph; it equals the extremal value ``min over regular x of x^- A x``.
+It is computed by Karp's algorithm (Karp, Discrete Math. 23, 1978) in
+``O(n**3)`` time and ``O(n**2)`` memory.  ``big_tr`` is the related
+feasibility function deciding whether ``A x <= x`` has regular
+solutions, read from the bounded star as ``tr(A A*)``.  The traces of
+the powers of ``A``, whose m-th roots the paper sums to the same radius,
+are formed only by :func:`spectral_summary`, which reports them.  Every
+value is checked to be a scalar of the semifield, so an overflow to the
+wrong-sign infinity raises :class:`DomainError` instead of passing for a
+value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import ShapeError
 from .semiring import MAX_PLUS, Semifield
-from .tensor import _mm, as_matrix
+from .tensor import _as_square, _check_entries, _mm, _star
 
 __all__ = [
     "SpectralSummary",
@@ -31,14 +33,40 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Spectral radius together with the per-power traces it came from.
+    """Spectral radius together with the per-power traces of the paper's formula.
 
     ``per_power_traces`` holds ``(m, tr(A**m))`` for ``m = 1..n``; the
-    radius is the idempotent sum of their m-th roots.
+    radius equals the idempotent sum of their m-th roots.
     """
 
     radius: float
     per_power_traces: tuple[tuple[int, float], ...]
+
+
+def _karp(A: np.ndarray, sf: Semifield) -> float:
+    # D[k, v]: best walk of exactly k edges ending at v, starting anywhere;
+    # lambda = (+)_v over finite D[n, v] of the (-)-sum over k < n of
+    # (D[n, v] - D[k, v]) / (n - k), where (-) is the opposite extremum.
+    # Each candidate is one correctly rounded division, as in tr(A**m) / m.
+    n = A.shape[0]
+    D = np.empty((n + 1, n))
+    D[0] = sf.one
+    for k in range(1, n + 1):
+        D[k] = sf.np_reduce_add(D[k - 1][:, None] + A, axis=0)
+    _check_entries(D, sf)
+    ends = D[n] != sf.zero
+    if not ends.any():
+        return sf.zero
+    # an unreachable D[k, v] (the zero element) gives the infinity that
+    # the opposite extremum ignores, and D[0, v] is always finite
+    ratios = (D[n, ends] - D[:n, ends]) / (n - np.arange(n))[:, None]
+    worst = np.min if sf.np_reduce_add is np.max else np.max
+    return float(sf.np_reduce_add(worst(ratios, axis=0)))
+
+
+def _tr(A: np.ndarray, S: np.ndarray, sf: Semifield) -> float:
+    # Tr(A) = tr(A S) with S = A*: (+)_ik A_ik (x) S_ki, no product formed
+    return sf.scalar(sf.np_reduce_add(A + S.T))
 
 
 def _power_traces(A: np.ndarray, sf: Semifield) -> list[tuple[int, float]]:
@@ -53,47 +81,41 @@ def _power_traces(A: np.ndarray, sf: Semifield) -> list[tuple[int, float]]:
 
 
 def spectral_summary(A, sf: Semifield = MAX_PLUS) -> SpectralSummary:
-    A = as_matrix(A, sf)
-    if A.shape[0] != A.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {A.shape}")
-    traces = _power_traces(A, sf)
-    lam = sf.zero
-    for m, t in traces:
-        lam = sf.add(lam, sf.rational_pow(t, Fraction(1, m)))
-    return SpectralSummary(radius=lam, per_power_traces=tuple(traces))
+    """Spectral radius with the traces ``tr(A**m)``, m = 1..n, for display."""
+    A = _as_square(A, sf)
+    return SpectralSummary(radius=_karp(A, sf), per_power_traces=tuple(_power_traces(A, sf)))
 
 
 def spectral_radius(A, sf: Semifield = MAX_PLUS) -> float:
-    """Maximal eigenvalue: the (+)-sum over m = 1..n of tr(A**m) ** (1/m)."""
-    return spectral_summary(A, sf).radius
+    """Maximal eigenvalue: the best cycle mean, equal to the (+)-sum over
+    m = 1..n of tr(A**m) ** (1/m)."""
+    return _karp(_as_square(A, sf), sf)
 
 
 def big_tr(A, sf: Semifield = MAX_PLUS) -> float:
-    """Feasibility function ``Tr(A) = tr A (+) ... (+) tr A**n``.
+    """Feasibility function ``Tr(A) = tr A (+) ... (+) tr A**n = tr(A A*)``.
 
     ``A x <= x`` has regular solutions iff ``Tr(A) <= 1`` (the identity
     element); equivalently, iff no cycle weight exceeds the identity.
     """
-    A = as_matrix(A, sf)
-    if A.shape[0] != A.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {A.shape}")
-    acc = sf.zero
-    for _, t in _power_traces(A, sf):
-        acc = sf.add(acc, t)
-    return acc
+    A = _as_square(A, sf)
+    return _tr(A, _star(A, sf), sf)
 
 
-def _reachable(adj: list[list[int]], start: int) -> np.ndarray:
-    seen = np.zeros(len(adj), dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        i = stack.pop()
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    return seen
+def _reaches_all(edges: np.ndarray) -> bool:
+    # level-synchronous breadth-first search from node 0
+    seen = np.zeros(edges.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = edges[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
+def _irreducible(A: np.ndarray, sf: Semifield) -> bool:
+    edges = A != sf.zero
+    return A.shape[0] == 1 or (_reaches_all(edges) and _reaches_all(edges.T))
 
 
 def is_irreducible(A, sf: Semifield = MAX_PLUS) -> bool:
@@ -103,13 +125,4 @@ def is_irreducible(A, sf: Semifield = MAX_PLUS) -> bool:
     block-triangular form.  A 1x1 matrix is irreducible by convention
     regardless of its entry.
     """
-    A = as_matrix(A, sf)
-    n = A.shape[0]
-    if n != A.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {A.shape}")
-    if n == 1:
-        return True
-    pattern = A != sf.zero
-    fwd = [list(np.nonzero(pattern[i])[0]) for i in range(n)]
-    bwd = [list(np.nonzero(pattern[:, i])[0]) for i in range(n)]
-    return bool(_reachable(fwd, 0).all() and _reachable(bwd, 0).all())
+    return _irreducible(_as_square(A, sf), sf)

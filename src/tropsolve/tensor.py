@@ -2,9 +2,12 @@
 
 Matrices and vectors are ordinary ``numpy`` float64 arrays; every
 operation takes the semifield as a keyword argument (default
-``MAX_PLUS``) and validates its operands on entry.  Functions are pure:
-inputs are never mutated and results are freshly allocated, so arrays can
-be shared freely between threads.
+``MAX_PLUS``) and validates its operands on entry, once.  The work is done
+by private kernels (``_mm``, ``_star``, ``_reduce``) that take trusted
+float64 arrays; the spectral and solver layers call them directly on
+data they have already validated.  Functions are pure: inputs are never
+mutated and results are freshly allocated, so arrays can be shared
+freely between threads.
 
 The zero element of the semifield (``-inf`` in max-plus) doubles as the
 missing-edge marker: a matrix is interpreted as a weighted digraph with
@@ -39,14 +42,14 @@ __all__ = [
 
 
 def _check_entries(arr: np.ndarray, sf: Semifield) -> None:
+    if (np.isfinite(arr) | (arr == sf.zero)).all():
+        return
     if np.isnan(arr).any():
         raise DomainError("NaN entries are not semifield scalars")
-    bad = np.isinf(arr) & (arr != sf.zero)
-    if bad.any():
-        raise DomainError(
-            f"infinite entry with the wrong sign for {sf.name} "
-            f"(zero element is {sf.format_scalar(sf.zero)})"
-        )
+    raise DomainError(
+        f"infinite entry with the wrong sign for {sf.name} "
+        f"(zero element is {sf.format_scalar(sf.zero)})"
+    )
 
 
 def as_matrix(entries, sf: Semifield = MAX_PLUS) -> np.ndarray:
@@ -76,6 +79,12 @@ def _square(A: np.ndarray) -> int:
     return A.shape[0]
 
 
+def _as_square(entries, sf: Semifield) -> np.ndarray:
+    A = as_matrix(entries, sf)
+    _square(A)
+    return A
+
+
 def zero_matrix(n: int, m: int | None = None, sf: Semifield = MAX_PLUS) -> np.ndarray:
     """The n-by-m matrix with every entry equal to the zero element."""
     return np.full((n, n if m is None else m), sf.zero)
@@ -88,9 +97,26 @@ def identity_matrix(n: int, sf: Semifield = MAX_PLUS) -> np.ndarray:
     return I
 
 
+# entries of the one (n, k, m) temporary a small product may broadcast into;
+# n = 64 square products still fit, larger ones loop over the middle index
+_MM_BROADCAST_ENTRIES = 1 << 18
+
+
 def _mm(A: np.ndarray, B: np.ndarray, sf: Semifield) -> np.ndarray:
-    # (A B)_ij = (+)_k A_ik (x) B_kj, vectorized over the middle axis
-    return sf.np_reduce_add(A[:, :, None] + B[None, :, :], axis=1)
+    # (A B)_ij = (+)_k A_ik (x) B_kj; every temporary stays within
+    # max(_MM_BROADCAST_ENTRIES, n m) entries, so memory is O(n m)
+    if A.size * B.shape[1] <= _MM_BROADCAST_ENTRIES:
+        return sf.np_reduce_add(A[:, :, None] + B[None, :, :], axis=1)
+    out = A[:, 0, None] + B[0]
+    term = np.empty_like(out)
+    for k in range(1, A.shape[1]):
+        np.add(A[:, k, None], B[k], out=term)
+        sf.np_add(out, term, out=out)
+    return out
+
+
+def _mv(A: np.ndarray, x: np.ndarray, sf: Semifield) -> np.ndarray:
+    return sf.np_reduce_add(A + x[None, :], axis=1)
 
 
 def mat_add(A, B, sf: Semifield = MAX_PLUS) -> np.ndarray:
@@ -114,7 +140,7 @@ def mat_vec(A, x, sf: Semifield = MAX_PLUS) -> np.ndarray:
     A, x = as_matrix(A, sf), as_vector(x, sf)
     if A.shape[1] != x.shape[0]:
         raise ShapeError(f"dimension mismatch {A.shape} vs {x.shape}")
-    return sf.np_reduce_add(A + x[None, :], axis=1)
+    return _mv(A, x, sf)
 
 
 def mat_pow(A, p: int, sf: Semifield = MAX_PLUS) -> np.ndarray:
@@ -157,22 +183,37 @@ def conjugate(x, sf: Semifield = MAX_PLUS) -> np.ndarray:
     return np.where(x == sf.zero, sf.zero, -x + 0.0)
 
 
+def _star(A: np.ndarray, sf: Semifield) -> np.ndarray:
+    # S_t = I (+) A (+) ... (+) A**(t-1) with P = A**t, built along the bits
+    # of n from the top: S_2t = S_t (+) A**t S_t and S_(t+1) = S_t (+) A**t.
+    # At most three products per bit, and no power beyond A**(n-1).
+    n = A.shape[0]
+    S, P = identity_matrix(n, sf), A
+    bits = bin(n)[3:]
+    for pos, bit in enumerate(bits):
+        last = pos == len(bits) - 1
+        S = sf.np_add(S, _mm(P, S, sf))
+        if bit == "1" or not last:
+            P = _mm(P, P, sf)
+        if bit == "1":
+            S = sf.np_add(S, P)
+            if not last:
+                P = _mm(P, A, sf)
+    _check_entries(S, sf)
+    return S
+
+
 def kleene_star(A, sf: Semifield = MAX_PLUS) -> np.ndarray:
     """Bounded star ``I (+) A (+) ... (+) A**(n-1)`` of an n-by-n matrix.
 
-    Horner-style accumulation, n - 1 multiply-adds.  When every cycle
-    weight is at most the identity (``Tr(A) <= 1``) this generates all
-    regular solutions of ``A x <= x``.  A path weight that overflows to
-    the wrong-sign infinity raises :class:`DomainError`.
+    Built by binary expansion of n, with at most three products per bit
+    of n (``O(n**3 log n)``), and exactly the bounded sum even when some
+    cycle weight exceeds the identity.  When every cycle weight is at
+    most the identity (``Tr(A) <= 1``) this generates all regular
+    solutions of ``A x <= x``.  A path weight that overflows to the
+    wrong-sign infinity raises :class:`DomainError`.
     """
-    A = as_matrix(A, sf)
-    n = _square(A)
-    I = identity_matrix(n, sf)
-    S = I
-    for _ in range(n - 1):
-        S = sf.np_add(I, _mm(A, S, sf))
-    _check_entries(S, sf)
-    return S
+    return _star(_as_square(A, sf), sf)
 
 
 def is_regular(x, sf: Semifield = MAX_PLUS) -> bool:
@@ -202,26 +243,36 @@ def collinear(x, y, sf: Semifield = MAX_PLUS) -> float | None:
     return c if bool(np.all(y[fx] == c + x[fx])) else None
 
 
+def _reduce(G: np.ndarray, sf: Semifield) -> np.ndarray:
+    # Each column is tested against every kept column at once, with the
+    # arithmetic of collinear(): equal zero patterns, c = y_i - x_i at the
+    # first nonzero index i, then y == c + x on the nonzero entries.
+    nonzero = G != sf.zero
+    kept: list[int] = []
+    for j in np.flatnonzero(nonzero.any(axis=0)):
+        pattern = nonzero[:, j]
+        same = np.array(kept, dtype=np.intp)
+        same = same[np.all(nonzero[:, same] == pattern[:, None], axis=0)]
+        if same.size:
+            rows = np.flatnonzero(pattern)
+            x, y = G[np.ix_(rows, same)], G[rows, j]
+            c = y[0] - x[0]
+            if np.all(y[:, None] == c + x, axis=0).any():
+                continue
+        kept.append(int(j))
+    return G[:, kept or [0]]
+
+
 def reduce_generators(G, sf: Semifield = MAX_PLUS) -> np.ndarray:
     """Drop generator columns that add nothing to the linear span.
 
-    A column collinear with an earlier kept column is removed, as is any
+    A column collinear with an earlier kept column (in the sense of
+    :func:`collinear`, with the same arithmetic) is removed, as is any
     all-zero column (it is a zero multiple of every vector).  Kept
     columns stay in their original order; if every column is zero the
     first is kept so the result still has one column.
     """
-    G = as_matrix(G, sf)
-    kept: list[int] = []
-    for j in range(G.shape[1]):
-        col = G[:, j]
-        if bool(np.all(col == sf.zero)):
-            continue
-        if any(collinear(G[:, i], col, sf) is not None for i in kept):
-            continue
-        kept.append(j)
-    if not kept:
-        kept = [0]
-    return G[:, kept].copy()
+    return _reduce(as_matrix(G, sf), sf)
 
 
 def entrywise_leq(A, B, sf: Semifield = MAX_PLUS) -> bool:

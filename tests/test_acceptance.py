@@ -170,7 +170,7 @@ def test_criterion_07_cycle_mean_cross_check():
         density = (0.0, 0.2, 0.5)[i % 3]
         A = rand_matrix(rng, n, zero_density=density)
         assert ts.cycle_mean_oracle(A) == ts.spectral_radius(A)
-    _report(7, "cycle enumeration matches the trace formula (500 matrices)")
+    _report(7, "cycle enumeration matches the spectral radius (500 matrices)")
 
 
 def test_criterion_08_zero_constraint_consistency():

@@ -93,6 +93,24 @@ class TestGoldenRuns:
         assert captured.out == self.SOLVE_JSON
         assert captured.err == ""
 
+    def test_solve_evaluates_each_hypothesis_once(self, matrix_files, capsys, monkeypatch):
+        # irreducibility of A and of B, lambda(A) and lambda(A B*), and the
+        # stars B* and (theta^-1 A (+) B)*: nothing is recomputed for the report
+        calls = []
+
+        def counted(name, inner):
+            def kernel(*args):
+                calls.append(name)
+                return inner(*args)
+
+            return kernel
+
+        for name in ("_irreducible", "_karp", "_star"):
+            monkeypatch.setattr(ts.solver, name, counted(name, getattr(ts.solver, name)))
+        main(["solve", "-A", matrix_files["a.mat"], "-B", matrix_files["b.mat"], "--format", "json"])
+        assert capsys.readouterr().out == self.SOLVE_JSON
+        assert sorted(calls) == ["_irreducible"] * 2 + ["_karp"] * 2 + ["_star"] * 2
+
     def test_inequality_golden(self, matrix_files, capsys):
         code = main(["inequality", "-A", matrix_files["binf.mat"], "--format", "json"])
         captured = capsys.readouterr()

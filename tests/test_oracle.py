@@ -105,6 +105,21 @@ class TestThetaEnumerationOracle:
             assert ts.compute_theta(instance.A, instance.B) == expected
 
 
+class TestTraceBinomialRhs:
+    def test_worked_example(self):
+        lhs = ts.trace(ts.mat_pow(ts.mat_add(A2, B2), 3))
+        assert ts.trace_binomial_rhs(A2, B2, 3) == lhs
+
+    def test_cap_is_checked_before_any_product(self, monkeypatch):
+        def no_product(*args):
+            raise AssertionError("a product was formed")
+
+        monkeypatch.setattr(ts.oracle, "_mm", no_product)
+        assert ts.THETA_ENUMERATION_CAP == 20
+        with pytest.raises(ResourceError, match="m = 21"):
+            ts.trace_binomial_rhs(A2, B2, 21)
+
+
 class TestCycleMeanOracle:
     def test_worked_example(self):
         # cycles: self-loop 0, self-loop -2, two-cycle mean (-3 - 5) / 2

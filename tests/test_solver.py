@@ -177,6 +177,15 @@ class TestSolveConstrained:
             ts.solve_constrained(ts.ProblemInstance(A2, B))
         assert exc.value.hypothesis == "constraint feasibility"
 
+    def test_cone_records_the_hypotheses(self):
+        cone = ts.solve_constrained(worked_instance())
+        assert cone.hypotheses == ts.check_hypotheses(A2, B2)
+        A = ts.as_matrix([[1.0, 0.0], [NEG_INF, 1.0]])
+        B = ts.as_matrix([[-1.0, NEG_INF], [NEG_INF, -2.0]])
+        cone = ts.solve_constrained(ts.ProblemInstance(A, B), override_irreducibility=True)
+        assert cone.hypotheses == ts.check_hypotheses(A, B)
+        assert not (cone.hypotheses["irreducible_A"] or cone.hypotheses["irreducible_B"])
+
     def test_override_emits_warnings_but_stays_sound(self):
         A = ts.as_matrix([[1.0, 0.0], [NEG_INF, 1.0]])
         B = ts.as_matrix([[-1.0, NEG_INF], [NEG_INF, -2.0]])

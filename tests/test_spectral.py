@@ -66,6 +66,19 @@ class TestSpectralRadius:
         with pytest.raises(DomainError):
             ts.spectral_radius(ts.as_matrix([[-1e308] * 2] * 2, MIN_PLUS), MIN_PLUS)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflow_inside_karps_table_is_a_domain_error(self):
+        # a path 0 -> 1 -> 2 of weight 2e308 and no cycle: the radius is the
+        # zero element, but the walk weights in Karp's table overflow
+        for sf, w in ((MAX_PLUS, 1e308), (MIN_PLUS, -1e308)):
+            path = ts.zero_matrix(3, sf=sf)
+            path[0, 1] = path[1, 2] = w
+            with pytest.raises(DomainError, match="wrong sign|NaN"):
+                ts.spectral_radius(path, sf)
+            path[1, 2] = 0.0
+            assert ts.spectral_radius(path, sf) == sf.zero
+
 
 class TestExtremalProperty:
     def test_objective_is_bounded_below_by_radius(self):

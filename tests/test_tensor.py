@@ -59,6 +59,16 @@ class TestArithmetic:
         assert np.array_equal(ts.mat_mul(A, ts.identity_matrix(2)), A)
         assert np.all(ts.mat_mul(A, ts.zero_matrix(2)) == NEG_INF)
 
+    def test_mat_mul_past_one_broadcast(self):
+        # 100 x 100 x 100 is past the single-broadcast size, so the product
+        # loops over the middle index; the max or min is the same
+        rng = np.random.default_rng(11)
+        for sf in (MAX_PLUS, MIN_PLUS):
+            A, B = (rand_matrix(rng, 100, zero_density=0.5) for _ in range(2))
+            A[A == NEG_INF] = B[B == NEG_INF] = sf.zero
+            expected = sf.np_reduce_add(A[:, :, None] + B[None, :, :], axis=1)
+            assert np.array_equal(ts.mat_mul(A, B, sf), expected)
+
     def test_mat_pow(self):
         assert np.array_equal(ts.mat_pow(A2, 2), [[0.0, -3.0], [-5.0, -4.0]])
         assert np.array_equal(ts.mat_pow(A2, 0), ts.identity_matrix(2))
@@ -135,6 +145,17 @@ class TestKleeneStar:
         S = ts.kleene_star(W, MIN_PLUS)
         assert S[0, 2] == 5.0  # 0 -> 1 -> 2
         assert S[2, 1] == 6.0  # 2 -> 0 -> 1
+
+    def test_large_star_is_the_bounded_power_sum(self):
+        # n = 70 takes the product's loop and every branch of the binary
+        # expansion (70 = 0b1000110); positive cycles make Tr(A) > 1
+        rng = np.random.default_rng(12)
+        A = rand_matrix(rng, 70, zero_density=0.9)
+        horner = ts.identity_matrix(70)
+        for _ in range(69):
+            horner = np.maximum(ts.identity_matrix(70), ts.mat_mul(A, horner))
+        assert ts.big_tr(A) > 0
+        assert np.array_equal(ts.kleene_star(A), horner)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_is_a_domain_error(self):
