@@ -97,9 +97,11 @@ def identity_matrix(n: int, sf: Semifield = MAX_PLUS) -> np.ndarray:
     return I
 
 
-# entries of the one (n, k, m) temporary a small product may broadcast into;
-# n = 64 square products still fit, larger ones loop over the middle index
-_MM_BROADCAST_ENTRIES = 1 << 18
+# entries of the one (n, k, m) temporary a small product may broadcast into
+# (square n <= 50); larger products loop over the middle index.  Measured on a
+# 2-core Xeon VM with numpy 2.4: the loop takes 1.3-2.6x the broadcast's time
+# at n = 4..40, the same at n = 48, and 0.74-0.98x at n = 56..80.
+_MM_BROADCAST_ENTRIES = 1 << 17
 
 
 def _mm(A: np.ndarray, B: np.ndarray, sf: Semifield) -> np.ndarray:
