@@ -79,12 +79,7 @@ def parse_matrix(text: str, sf: Semifield = MAX_PLUS) -> np.ndarray:
 def format_matrix(M, sf: Semifield = MAX_PLUS) -> str:
     """Inverse of :func:`parse_matrix`; bit-exact round trip for integer
     entries."""
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim == 1:
-        M = M[:, None]
-    lines = [f"{M.shape[0]} {M.shape[1]}"]
-    lines += [" ".join(sf.format_scalar(v) for v in row) for row in M]
-    return "\n".join(lines) + "\n"
+    return "\n".join(_matrix_file(_matrix_tokens(M, sf))) + "\n"
 
 
 def _matrix_tokens(M, sf: Semifield) -> list[list[str]]:
@@ -92,6 +87,14 @@ def _matrix_tokens(M, sf: Semifield) -> list[list[str]]:
     if M.ndim == 1:
         M = M[:, None]
     return [[sf.format_scalar(v) for v in row] for row in M]
+
+
+def _rows(tokens: list[list[str]]) -> list[str]:
+    return [" ".join(row) for row in tokens]
+
+
+def _matrix_file(tokens: list[list[str]]) -> list[str]:
+    return [f"{len(tokens)} {len(tokens[0])}", *_rows(tokens)]
 
 
 def _load_matrix(path: str, sf: Semifield) -> np.ndarray:
@@ -105,7 +108,10 @@ def _load_matrix(path: str, sf: Semifield) -> np.ndarray:
         raise ParseError(f"{path}: {exc}") from None
 
 
-# -- output helpers -----------------------------------------------------------
+def _load_pair(args) -> ProblemInstance:
+    return ProblemInstance(
+        _load_matrix(args.objective, args.sf), _load_matrix(args.constraint, args.sf), args.sf
+    )
 
 
 def _diag(message: str) -> None:
@@ -114,72 +120,46 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _emit_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-
-
-def _print_matrix_rows(M, sf: Semifield) -> None:
-    for row in _matrix_tokens(M, sf):
-        print(" ".join(row))
-
-
-def _print_cone_text(doc: dict) -> None:
-    print(f"theta = {doc['theta']}")
-    print("closure:")
-    for row in doc["closure"]:
-        print(" ".join(row))
-    print("generators:")
-    for row in doc["generators"]:
-        print(" ".join(row))
-    for w in doc["warnings"]:
-        print(f"warning: {w}")
-
-
 # -- subcommand handlers ------------------------------------------------------
 
+# (exit status, JSON document, text lines): main writes one of the two; text
+# lines of None mean the subcommand reports in JSON only
+_Report = tuple[int, dict, list[str] | None]
 
-def _cone_doc(cone, sf: Semifield) -> dict:
-    return {
+
+def _cone_report(cone, sf: Semifield) -> _Report:
+    doc = {
         "theta": sf.format_scalar(cone.theta),
         "closure": _matrix_tokens(cone.closure_matrix, sf),
         "generators": _matrix_tokens(cone.generators, sf),
-        "reduced": cone.reduced,
+        # kept for byte stability: every cone is reduced
+        "reduced": True,
         "degenerate": cone.degenerate,
         "hypotheses": cone.hypotheses,
         "warnings": list(cone.warnings),
     }
+    text = [f"theta = {doc['theta']}", "closure:", *_rows(doc["closure"])]
+    return 0, doc, text + _generator_lines(doc)
 
 
-def _cmd_solve(args) -> int:
+def _generator_lines(doc: dict) -> list[str]:
+    # the generators and warnings that end the text of solve and inequality
+    return ["generators:", *_rows(doc["generators"]), *(f"warning: {w}" for w in doc["warnings"])]
+
+
+def _cmd_solve(args) -> _Report:
+    cone = solve_constrained(_load_pair(args), override_irreducibility=args.force)
+    return _cone_report(cone, args.sf)
+
+
+def _cmd_unconstrained(args) -> _Report:
+    cone = solve_unconstrained(_load_matrix(args.objective, args.sf), args.sf)
+    return _cone_report(cone, args.sf)
+
+
+def _cmd_inequality(args) -> _Report:
     sf = args.sf
-    instance = ProblemInstance(
-        _load_matrix(args.objective, sf), _load_matrix(args.constraint, sf), sf
-    )
-    cone = solve_constrained(instance, override_irreducibility=args.force)
-    doc = _cone_doc(cone, sf)
-    if args.format == "json":
-        _emit_json(doc)
-    else:
-        _print_cone_text(doc)
-    return 0
-
-
-def _cmd_unconstrained(args) -> int:
-    sf = args.sf
-    A = _load_matrix(args.objective, sf)
-    cone = solve_unconstrained(A, sf)
-    doc = _cone_doc(cone, sf)
-    if args.format == "json":
-        _emit_json(doc)
-    else:
-        _print_cone_text(doc)
-    return 0
-
-
-def _cmd_inequality(args) -> int:
-    sf = args.sf
-    A = _load_matrix(args.objective, sf)
-    result = solve_linear_inequality(A, sf)
+    result = solve_linear_inequality(_load_matrix(args.objective, sf), sf)
     doc = {
         "feasible": result.verdict.feasible,
         "tr": sf.format_scalar(result.verdict.tr_value),
@@ -188,61 +168,32 @@ def _cmd_inequality(args) -> int:
         else _matrix_tokens(result.generators, sf),
         "warnings": list(result.warnings),
     }
-    if args.format == "json":
-        _emit_json(doc)
-        if not result.verdict.feasible:
-            _diag("no regular solution")
-    else:
-        if result.verdict.feasible:
-            print(f"feasible: Tr = {doc['tr']}")
-            print("generators:")
-            _print_matrix_rows(result.generators, sf)
-            for w in result.warnings:
-                print(f"warning: {w}")
-        else:
-            print("no regular solution")
-            print(f"Tr = {doc['tr']}")
-    return 0 if result.verdict.feasible else 1
+    if not result.verdict.feasible:
+        return 1, doc, ["no regular solution", f"Tr = {doc['tr']}"]
+    return 0, doc, [f"feasible: Tr = {doc['tr']}", *_generator_lines(doc)]
 
 
-def _cmd_spectral(args) -> int:
+def _cmd_spectral(args) -> _Report:
     sf = args.sf
     summary = spectral_summary(_load_matrix(args.objective, sf), sf)
     doc = {
         "lambda": sf.format_scalar(summary.radius),
         "traces": [[m, sf.format_scalar(t)] for m, t in summary.per_power_traces],
     }
-    if args.format == "json":
-        _emit_json(doc)
-    else:
-        print(f"lambda = {doc['lambda']}")
-        for m, tok in doc["traces"]:
-            print(f"tr(A^{m}) = {tok}")
-    return 0
+    text = [f"lambda = {doc['lambda']}", *(f"tr(A^{m}) = {t}" for m, t in doc["traces"])]
+    return 0, doc, text
 
 
-def _cmd_theta(args) -> int:
-    sf = args.sf
-    A = _load_matrix(args.objective, sf)
-    B = _load_matrix(args.constraint, sf)
-    value = compute_theta(A, B, sf)
-    doc = {"theta": sf.format_scalar(value)}
-    if args.format == "json":
-        _emit_json(doc)
-    else:
-        print(f"theta = {doc['theta']}")
-    return 0
+def _cmd_theta(args) -> _Report:
+    instance = _load_pair(args)
+    theta = args.sf.format_scalar(compute_theta(instance.A, instance.B, args.sf))
+    return 0, {"theta": theta}, [f"theta = {theta}"]
 
 
-def _cmd_star(args) -> int:
-    sf = args.sf
-    S = kleene_star(_load_matrix(args.objective, sf), sf)
-    if args.format == "json":
-        _emit_json({"star": _matrix_tokens(S, sf)})
-    else:
-        # emit the matrix file format so the output can be piped back in
-        sys.stdout.write(format_matrix(S, sf))
-    return 0
+def _cmd_star(args) -> _Report:
+    star = _matrix_tokens(kleene_star(_load_matrix(args.objective, args.sf), args.sf), args.sf)
+    # the text form is the matrix file format, so the output pipes back in
+    return 0, {"star": star}, _matrix_file(star)
 
 
 def _parse_box(specs: list[str] | None) -> list[tuple[float, float]] | tuple[float, float]:
@@ -260,11 +211,9 @@ def _parse_box(specs: list[str] | None) -> list[tuple[float, float]] | tuple[flo
     return out[0] if len(out) == 1 else out
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Report:
     sf = args.sf
-    instance = ProblemInstance(
-        _load_matrix(args.objective, sf), _load_matrix(args.constraint, sf), sf
-    )
+    instance = _load_pair(args)
     cone = solve_constrained(instance, override_irreducibility=args.force)
     report = grid_min(instance, _parse_box(args.box), args.step)
     family = sample_solution_family(instance, cone, trials=args.trials, seed=args.seed)
@@ -297,8 +246,7 @@ def _cmd_verify(args) -> int:
         },
         "warnings": list(cone.warnings),
     }
-    _emit_json(doc)
-    return 0
+    return 0, doc, None
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -311,7 +259,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, constraint: bool, force: bool = False):
+    def add(name: str, func, summary: str, constraint: bool, force: bool = False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("-A", "--objective", required=True, help="matrix file")
         if constraint:
             p.add_argument("-B", "--constraint", required=True, help="constraint matrix file")
@@ -323,38 +273,21 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--force", action="store_true", help="override the irreducibility hypothesis"
             )
+        return p
 
-    p = sub.add_parser("solve", help="minimize x^- A x subject to B x <= x")
-    common(p, constraint=True, force=True)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("unconstrained", help="minimize x^- A x over all regular x")
-    common(p, constraint=False)
-    p.set_defaults(func=_cmd_unconstrained)
-
-    p = sub.add_parser("inequality", help="solve A x <= x")
-    common(p, constraint=False)
-    p.set_defaults(func=_cmd_inequality)
-
-    p = sub.add_parser("spectral", help="spectral radius and the traces of powers")
-    common(p, constraint=False)
-    p.set_defaults(func=_cmd_spectral)
-
-    p = sub.add_parser("theta", help="evaluate the closed-form minimum only")
-    common(p, constraint=True)
-    p.set_defaults(func=_cmd_theta)
-
-    p = sub.add_parser("star", help="bounded Kleene star I (+) A (+) ... (+) A**(n-1)")
-    common(p, constraint=False)
-    p.set_defaults(func=_cmd_star)
-
-    p = sub.add_parser("verify", help="cross-check a solve against the grid oracle")
-    common(p, constraint=True, force=True)
+    add("solve", _cmd_solve, "minimize x^- A x subject to B x <= x", True, force=True)
+    add("unconstrained", _cmd_unconstrained, "minimize x^- A x over all regular x", False)
+    add("inequality", _cmd_inequality, "solve A x <= x", False)
+    add("spectral", _cmd_spectral, "spectral radius and the traces of powers", False)
+    add("theta", _cmd_theta, "evaluate the closed-form minimum only", True)
+    add("star", _cmd_star, "bounded Kleene star I (+) A (+) ... (+) A**(n-1)", False)
+    p = add(
+        "verify", _cmd_verify, "cross-check a solve against the grid oracle", True, force=True
+    )
     p.add_argument("--box", action="append", metavar="LO:HI", help="grid interval, repeatable")
     p.add_argument("--step", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -389,13 +322,21 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     args.sf = semifield_by_name(args.semifield)
     try:
-        return args.func(args)
+        status, doc, text = args.func(args)
     except HypothesisError as exc:
         _diag(f"hypothesis failed ({exc.hypothesis}): {exc}")
         return 1
     except TropicalError as exc:
         _diag(f"error: {exc}")
         return 2
+    if text is None or args.format == "json":
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        if status:
+            # a failed verdict is a diagnostic, never part of the document
+            _diag(text[0])
+    else:
+        sys.stdout.write("\n".join(text) + "\n")
+    return status
 
 
 if __name__ == "__main__":

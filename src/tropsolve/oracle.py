@@ -25,7 +25,16 @@ import numpy as np
 from .errors import DomainError, ResourceError, ShapeError
 from .semiring import MAX_PLUS, Semifield
 from .solver import ProblemInstance, SolutionCone, objective
-from .tensor import _mm, as_matrix, entrywise_leq, identity_matrix, is_regular, mat_vec, trace
+from .tensor import (
+    _as_square,
+    _mm,
+    _mv,
+    as_matrix,
+    entrywise_leq,
+    identity_matrix,
+    is_regular,
+    trace,
+)
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -182,10 +191,8 @@ def cycle_mean_oracle(
     all yield the zero element.  Exhaustive, hence capped at ``cap``
     nodes.
     """
-    A = as_matrix(A, sf)
+    A = _as_square(A, sf)
     n = A.shape[0]
-    if n != A.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {A.shape}")
     if n > cap:
         raise ResourceError(f"cycle enumeration is exhaustive; n = {n} exceeds the cap of {cap}")
 
@@ -255,10 +262,8 @@ def theta_enumeration_oracle(
     :class:`ResourceError` instead of hanging.  Equals
     :func:`tropsolve.solver.compute_theta` whenever ``Tr(B) <= 1``.
     """
-    A, B = as_matrix(A, sf), as_matrix(B, sf)
-    if A.shape != B.shape or A.shape[0] != A.shape[1]:
-        raise ShapeError(f"expected equal square matrices, got {A.shape} and {B.shape}")
-    n = A.shape[0]
+    instance = ProblemInstance(A, B, sf)
+    A, B, n = instance.A, instance.B, instance.n
     if n > cap:
         raise ResourceError(
             f"theta enumeration has 2**{n} - 1 trace terms; n = {n} exceeds the cap of {cap}"
@@ -282,9 +287,8 @@ def trace_binomial_rhs(A, B, m: int, sf: Semifield = MAX_PLUS) -> float:
     plus one, so ``m`` beyond ``THETA_ENUMERATION_CAP`` raises
     :class:`ResourceError` instead of hanging.
     """
-    A, B = as_matrix(A, sf), as_matrix(B, sf)
-    if A.shape != B.shape or A.shape[0] != A.shape[1]:
-        raise ShapeError(f"expected equal square matrices, got {A.shape} and {B.shape}")
+    instance = ProblemInstance(A, B, sf)
+    A, B = instance.A, instance.B
     if m < 1 or m != int(m):
         raise DomainError(f"the binomial identity wants an integer m >= 1, got {m!r}")
     m = int(m)
@@ -321,14 +325,15 @@ def sample_solution_family(
     sf = instance.semifield
     rng = np.random.default_rng(seed)
     failures: list[FamilyFailure] = []
-    r = cone.generators.shape[1]
+    # validated once: the loop multiplies trusted arrays
+    G = as_matrix(cone.generators, sf)
     for t in range(trials):
-        u = rng.integers(u_low, u_high + 1, size=r).astype(np.float64)
-        x = mat_vec(cone.generators, u, sf)
+        u = rng.integers(u_low, u_high + 1, size=G.shape[1]).astype(np.float64)
+        x = _mv(G, u, sf)
         if not is_regular(x, sf):
             failures.append(FamilyFailure(t, tuple(u), "regularity", None))
             continue
-        if not entrywise_leq(mat_vec(instance.B, x, sf), x, sf):
+        if not entrywise_leq(_mv(instance.B, x, sf), x, sf):
             failures.append(FamilyFailure(t, tuple(u), "constraint", None))
         value = objective(instance.A, x, sf)
         if value != cone.theta:

@@ -70,9 +70,6 @@ class Semifield:
             )
         return x
 
-    def is_zero(self, x: float) -> bool:
-        return x == self.zero
-
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, x: float, y: float) -> float:

@@ -117,7 +117,6 @@ class SolutionCone:
     theta: float
     generators: np.ndarray
     closure_matrix: np.ndarray
-    reduced: bool
     degenerate: bool = False
     warnings: tuple[str, ...] = ()
     hypotheses: dict[str, bool] = field(default_factory=dict)
@@ -197,10 +196,8 @@ def compute_theta(A, B, sf: Semifield = MAX_PLUS) -> float:
     ``2**n - 1``-term trace sum (see the module docstring), which
     :func:`tropsolve.oracle.theta_enumeration_oracle` evaluates directly.
     """
-    A, B = as_matrix(A, sf), as_matrix(B, sf)
-    if A.shape[0] != A.shape[1] or A.shape != B.shape:
-        raise ShapeError(f"expected equal square matrices, got {A.shape} and {B.shape}")
-    return _theta(A, B, sf)
+    instance = ProblemInstance(A, B, sf)
+    return _theta(instance.A, instance.B, sf)
 
 
 def check_hypotheses(A, B, sf: Semifield = MAX_PLUS) -> dict[str, bool]:
@@ -208,7 +205,8 @@ def check_hypotheses(A, B, sf: Semifield = MAX_PLUS) -> dict[str, bool]:
 
     :func:`solve_constrained` records the same dictionary on its cone.
     """
-    A, B = _as_square(A, sf), _as_square(B, sf)
+    instance = ProblemInstance(A, B, sf)
+    A, B = instance.A, instance.B
     return {
         "irreducible_A": _irreducible(A, sf),
         "irreducible_B": _irreducible(B, sf),
@@ -217,11 +215,27 @@ def check_hypotheses(A, B, sf: Semifield = MAX_PLUS) -> dict[str, bool]:
     }
 
 
+def _cone(
+    theta: float, combined: np.ndarray, sf: Semifield, warnings: list[str], hypotheses: dict
+) -> SolutionCone:
+    # the optimizers at minimum theta are (combined)* u over regular u
+    closure = _star(combined, sf)
+    generators = _reduce(closure, sf)
+    degenerate = bool((generators == sf.zero).any())
+    if degenerate:
+        warnings.append("some generator columns are not regular; use regular u only")
+    return SolutionCone(
+        theta=theta,
+        generators=generators,
+        closure_matrix=closure,
+        degenerate=degenerate,
+        warnings=tuple(warnings),
+        hypotheses=hypotheses,
+    )
+
+
 def solve_constrained(
-    instance: ProblemInstance,
-    *,
-    override_irreducibility: bool = False,
-    reduce: bool = True,
+    instance: ProblemInstance, *, override_irreducibility: bool = False
 ) -> SolutionCone:
     """Solve ``min x^- A x`` subject to ``B x <= x`` in closed form.
 
@@ -253,36 +267,25 @@ def solve_constrained(
         )
     theta = _theta(A, B, sf)
     combined = _combined(theta, A, B, sf)
-    closure = _star(combined, sf)
     # theta is finite, so the combined digraph is the union of those of A
     # and B, strongly connected as soon as one of them is
     if not (irreducible_a or irreducible_b or _irreducible(combined, sf)):
         warnings.append("combined matrix theta**-1 A (+) B is reducible; completeness unverified")
-    generators = _reduce(closure, sf) if reduce else closure.copy()
-    degenerate = bool((generators == sf.zero).any())
-    if degenerate:
-        warnings.append("some generator columns are not regular; use regular u only")
-    return SolutionCone(
-        theta=theta,
-        generators=generators,
-        closure_matrix=closure,
-        reduced=reduce,
-        degenerate=degenerate,
-        warnings=tuple(warnings),
-        hypotheses={
-            "irreducible_A": irreducible_a,
-            "irreducible_B": irreducible_b,
-            "spectral_radius_positive": True,
-            "constraint_feasible": True,
-        },
-    )
+    hypotheses = {
+        "irreducible_A": irreducible_a,
+        "irreducible_B": irreducible_b,
+        "spectral_radius_positive": True,
+        "constraint_feasible": True,
+    }
+    return _cone(theta, combined, sf, warnings, hypotheses)
 
 
-def solve_unconstrained(A, sf: Semifield = MAX_PLUS, *, reduce: bool = True) -> SolutionCone:
+def solve_unconstrained(A, sf: Semifield = MAX_PLUS) -> SolutionCone:
     """Minimize ``x^- A x`` over all regular ``x`` (no constraints).
 
     The minimum is the spectral radius ``lam`` of the irreducible matrix
-    ``A`` and the optimizers are ``x = (lam**-1 A)* u`` for regular ``u``.
+    ``A`` and the optimizers are ``x = (lam**-1 A)* u`` for regular ``u``:
+    the constrained answer with ``B`` the zero matrix.
     """
     A = _as_square(A, sf)
     if not _irreducible(A, sf):
@@ -292,16 +295,8 @@ def solve_unconstrained(A, sf: Semifield = MAX_PLUS, *, reduce: bool = True) -> 
         raise HypothesisError(
             f"spectral radius is {sf.format_scalar(sf.zero)}", hypothesis="spectral radius"
         )
-    closure = _star(sf.inv(lam) + A, sf)
-    generators = _reduce(closure, sf) if reduce else closure.copy()
-    return SolutionCone(
-        theta=lam,
-        generators=generators,
-        closure_matrix=closure,
-        reduced=reduce,
-        degenerate=bool((generators == sf.zero).any()),
-        hypotheses={"irreducible_A": True, "spectral_radius_positive": True},
-    )
+    hypotheses = {"irreducible_A": True, "spectral_radius_positive": True}
+    return _cone(lam, sf.inv(lam) + A, sf, [], hypotheses)
 
 
 def is_solution(instance: ProblemInstance, theta: float, x) -> bool:

@@ -167,8 +167,7 @@ def scalar_mul(c: float, A, sf: Semifield = MAX_PLUS) -> np.ndarray:
 
 def trace(A, sf: Semifield = MAX_PLUS) -> float:
     """Idempotent sum of the diagonal entries."""
-    A = as_matrix(A, sf)
-    _square(A)
+    A = _as_square(A, sf)
     return float(sf.np_reduce_add(np.diagonal(A)))
 
 
@@ -278,9 +277,14 @@ def reduce_generators(G, sf: Semifield = MAX_PLUS) -> np.ndarray:
 
 
 def entrywise_leq(A, B, sf: Semifield = MAX_PLUS) -> bool:
-    """True iff ``A <= B`` holds entrywise in the induced order."""
+    """True iff ``A <= B`` holds entrywise in the induced order.
+
+    Operands may be matrices or vectors of any shape, the same for both.
+    """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
+    _check_entries(A, sf)
+    _check_entries(B, sf)
     if A.shape != B.shape:
         raise ShapeError(f"shape mismatch {A.shape} vs {B.shape}")
     return bool(np.all(sf.np_add(A, B) == B))

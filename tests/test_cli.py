@@ -126,6 +126,114 @@ class TestGoldenRuns:
         assert captured.err == ""
 
 
+CONE_DOC = """{
+  "theta": "0",
+  "closure": [
+    [
+      "0",
+      "-3"
+    ],
+    [
+      "-5",
+      "0"
+    ]
+  ],
+  "generators": [
+    [
+      "0",
+      "-3"
+    ],
+    [
+      "-5",
+      "0"
+    ]
+  ],
+  "reduced": true,
+  "degenerate": false,
+  "hypotheses": {
+    "irreducible_A": true,
+    "spectral_radius_positive": true
+  },
+  "warnings": []
+}
+"""
+STAR_DOC = """{
+  "star": [
+    [
+      "0",
+      "-8"
+    ],
+    [
+      "5",
+      "0"
+    ]
+  ]
+}
+"""
+FEASIBLE_DOC = """{
+  "feasible": true,
+  "tr": "0",
+  "generators": [
+    [
+      "0",
+      "-8"
+    ],
+    [
+      "5",
+      "0"
+    ]
+  ],
+  "warnings": []
+}
+"""
+
+# every subcommand on the worked example: argv (files by fixture name), the
+# exit status and the full stdout bytes; stderr is empty in each run
+GOLDEN_STDOUT = [
+    (["solve", "-A", "a.mat", "-B", "b.mat"], 0,
+     "theta = 2\nclosure:\n0 -5\n5 0\ngenerators:\n0\n5\n"),
+    (["unconstrained", "-A", "a.mat"], 0,
+     "theta = 0\nclosure:\n0 -3\n-5 0\ngenerators:\n0 -3\n-5 0\n"),
+    (["unconstrained", "-A", "a.mat", "--format", "json"], 0, CONE_DOC),
+    (["inequality", "-A", "b.mat"], 0, "feasible: Tr = 0\ngenerators:\n0 -8\n5 0\n"),
+    (["inequality", "-A", "b.mat", "--format", "json"], 0, FEASIBLE_DOC),
+    (["inequality", "-A", "binf.mat"], 1, "no regular solution\nTr = 2\n"),
+    (["spectral", "-A", "a.mat"], 0, "lambda = 0\ntr(A^1) = 0\ntr(A^2) = 0\n"),
+    (["theta", "-A", "a.mat", "-B", "b.mat"], 0, "theta = 2\n"),
+    (["theta", "-A", "a.mat", "-B", "b.mat", "--format", "json"], 0,
+     '{\n  "theta": "2"\n}\n'),
+    (["star", "-A", "b.mat"], 0, "2 2\n0 -8\n5 0\n"),
+    (["star", "-A", "b.mat", "--format", "json"], 0, STAR_DOC),
+]
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize(
+        "argv, code, out", GOLDEN_STDOUT, ids=[" ".join(a) for a, _, _ in GOLDEN_STDOUT]
+    )
+    def test_stdout_bytes(self, matrix_files, capsys, argv, code, out):
+        argv = [matrix_files.get(arg, arg) for arg in argv]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert captured.err == ""
+
+    def test_forced_reducible_solve_prints_each_warning(self, tmp_path, capsys):
+        # the pair of test_solver's test_override_emits_warnings_but_stays_sound
+        a, b = tmp_path / "ra.mat", tmp_path / "rb.mat"
+        a.write_text("2 2\n1 0\n-inf 1\n")
+        b.write_text("2 2\n-1 -inf\n-inf -2\n")
+        assert main(["solve", "-A", str(a), "-B", str(b), "--force"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "theta = 1\nclosure:\n0 -1\n-inf 0\ngenerators:\n0 -1\n-inf 0\n"
+            "warning: completeness unverified: neither A nor B is irreducible\n"
+            "warning: combined matrix theta**-1 A (+) B is reducible; completeness unverified\n"
+            "warning: some generator columns are not regular; use regular u only\n"
+        )
+        assert captured.err == ""
+
+
 class TestTextMode:
     def test_solve_text(self, matrix_files, capsys):
         code = main(["solve", "-A", matrix_files["a.mat"], "-B", matrix_files["b.mat"]])

@@ -143,7 +143,7 @@ class TestSolveConstrained:
         assert cone.theta == 2.0
         assert np.array_equal(cone.closure_matrix, [[0.0, -5.0], [5.0, 0.0]])
         assert np.array_equal(cone.generators, [[0.0], [5.0]])
-        assert cone.reduced and not cone.degenerate
+        assert not cone.degenerate
         assert cone.warnings == ()
 
     def test_zero_constraint_matches_unconstrained(self):
@@ -185,6 +185,24 @@ class TestSolveConstrained:
         cone = ts.solve_constrained(ts.ProblemInstance(A, B), override_irreducibility=True)
         assert cone.hypotheses == ts.check_hypotheses(A, B)
         assert not (cone.hypotheses["irreducible_A"] or cone.hypotheses["irreducible_B"])
+
+    @pytest.mark.parametrize(
+        "pair_function",
+        [
+            ts.check_hypotheses,
+            ts.compute_theta,
+            ts.theta_enumeration_oracle,
+            lambda A, B: ts.trace_binomial_rhs(A, B, 2),
+        ],
+        ids=["check_hypotheses", "compute_theta", "theta_enumeration_oracle", "trace_binomial_rhs"],
+    )
+    def test_pairs_are_validated_as_a_problem_instance(self, pair_function):
+        # a size mismatch and a non-square pair are shape errors everywhere
+        for A, B in [([[0, -1], [-1, 0]], [[0]]), ([[0, 1]], [[0, 1]])]:
+            with pytest.raises(ShapeError):
+                ts.ProblemInstance(A, B)
+            with pytest.raises(ShapeError):
+                pair_function(A, B)
 
     def test_override_emits_warnings_but_stays_sound(self):
         A = ts.as_matrix([[1.0, 0.0], [NEG_INF, 1.0]])

@@ -24,6 +24,18 @@ class TestConstruction:
         with pytest.raises(DomainError):
             ts.as_matrix([[NEG_INF]], MIN_PLUS)
 
+    @pytest.mark.parametrize("sf", [MAX_PLUS, MIN_PLUS], ids=lambda sf: sf.name)
+    def test_entrywise_leq_validates_both_operands(self, sf):
+        wrong_inf = -sf.zero
+        for bad in (float("nan"), wrong_inf):
+            with pytest.raises(DomainError):
+                ts.entrywise_leq([bad], [0.0], sf)
+            with pytest.raises(DomainError):
+                ts.entrywise_leq([[0.0]], [[bad]], sf)
+        # vectors and matrices alike, the zero element included
+        assert ts.entrywise_leq([sf.zero, 0.0], [0.0, 0.0], sf)
+        assert not ts.entrywise_leq([[0.0]], [[sf.zero]], sf)
+
     def test_inputs_are_never_mutated(self):
         M = np.array(A2)
         before = M.copy()
