@@ -7,7 +7,10 @@ exhaustive enumeration of simple cycles, ``theta_enumeration_oracle``
 evaluates the paper's ``2**n - 1``-term trace sum for the constrained
 minimum, ``trace_binomial_rhs`` expands ``tr (A (+) B)**m`` term by term,
 and ``sample_solution_family`` stress-tests a solution cone by drawing
-random regular combinations.  ``grid_min``, ``cycle_mean_oracle``,
+random regular combinations.  ``cycle_mean_oracle`` works in the
+caller's semifield with its scalar arithmetic, so it checks min-plus by
+code that does not share the max-plus image the other functions run
+on.  ``grid_min``, ``cycle_mean_oracle``,
 ``theta_enumeration_oracle`` and ``trace_binomial_rhs`` have size caps
 and raise :class:`ResourceError` past them, before allocating.  Reports
 are deterministic: the same inputs and seed reproduce them byte for
@@ -24,17 +27,8 @@ import numpy as np
 
 from .errors import DomainError, ResourceError, ShapeError
 from .semiring import MAX_PLUS, Semifield
-from .solver import ProblemInstance, SolutionCone, objective
-from .tensor import (
-    _as_square,
-    _mm,
-    _mv,
-    as_matrix,
-    entrywise_leq,
-    identity_matrix,
-    is_regular,
-    trace,
-)
+from .solver import ProblemInstance, SolutionCone, _objective
+from .tensor import _check_entries, _flip, _image, _mm, _mv, identity_matrix
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -191,7 +185,7 @@ def cycle_mean_oracle(
     all yield the zero element.  Exhaustive, hence capped at ``cap``
     nodes.
     """
-    A = _as_square(A, sf)
+    A = _flip(_image(A, sf, "square"), sf)
     n = A.shape[0]
     if n > cap:
         raise ResourceError(f"cycle enumeration is exhaustive; n = {n} exceeds the cap of {cap}")
@@ -222,9 +216,8 @@ def _product_trace_sum(
     k: int,
     budget: int,
     exact: bool,
-    sf: Semifield,
 ) -> float:
-    """(+)-sum of ``tr(A B**i1 ... A B**ik)`` over exponent tuples.
+    """Max of ``tr(A B**i1 ... A B**ik)`` over exponent tuples.
 
     Enumerates k-tuples of nonnegative integers with sum equal to
     ``budget`` (``exact=True``) or at most ``budget`` (``exact=False``),
@@ -232,21 +225,21 @@ def _product_trace_sum(
     hold ``B**0 .. B**budget`` at least.
     """
     n = A.shape[0]
-    ab = [_mm(A, bp, sf) for bp in b_powers[: budget + 1]]
-    acc = sf.zero
+    ab = [_mm(A, bp) for bp in b_powers[: budget + 1]]
+    acc = -np.inf
 
     def rec(prefix: np.ndarray, parts_left: int, budget_left: int) -> None:
         nonlocal acc
         if parts_left == 0:
-            acc = sf.add(acc, float(sf.np_reduce_add(np.diagonal(prefix))))
+            acc = max(acc, float(np.max(np.diagonal(prefix))))
             return
         if exact and parts_left == 1:
-            rec(_mm(prefix, ab[budget_left], sf), 0, 0)
+            rec(_mm(prefix, ab[budget_left]), 0, 0)
             return
         for i in range(budget_left + 1):
-            rec(_mm(prefix, ab[i], sf), parts_left - 1, budget_left - i)
+            rec(_mm(prefix, ab[i]), parts_left - 1, budget_left - i)
 
-    rec(identity_matrix(n, sf), k, budget)
+    rec(identity_matrix(n), k, budget)
     return acc
 
 
@@ -263,19 +256,19 @@ def theta_enumeration_oracle(
     :func:`tropsolve.solver.compute_theta` whenever ``Tr(B) <= 1``.
     """
     instance = ProblemInstance(A, B, sf)
-    A, B, n = instance.A, instance.B, instance.n
+    (A, B), n = instance._pair, instance.n
     if n > cap:
         raise ResourceError(
             f"theta enumeration has 2**{n} - 1 trace terms; n = {n} exceeds the cap of {cap}"
         )
-    b_powers = [identity_matrix(n, sf)]
+    b_powers = [identity_matrix(n)]
     for _ in range(n - 1):
-        b_powers.append(_mm(b_powers[-1], B, sf))
-    theta = sf.zero
+        b_powers.append(_mm(b_powers[-1], B))
+    theta = -np.inf
     for k in range(1, n + 1):
-        s = _product_trace_sum(A, b_powers, k, n - k, exact=False, sf=sf)
-        theta = sf.add(theta, sf.rational_pow(s, Fraction(1, k)))
-    return theta
+        s = _product_trace_sum(A, b_powers, k, n - k, exact=False)
+        theta = max(theta, MAX_PLUS.rational_pow(s, Fraction(1, k)))
+    return _flip(theta, sf)
 
 
 def trace_binomial_rhs(A, B, m: int, sf: Semifield = MAX_PLUS) -> float:
@@ -287,8 +280,7 @@ def trace_binomial_rhs(A, B, m: int, sf: Semifield = MAX_PLUS) -> float:
     plus one, so ``m`` beyond ``THETA_ENUMERATION_CAP`` raises
     :class:`ResourceError` instead of hanging.
     """
-    instance = ProblemInstance(A, B, sf)
-    A, B = instance.A, instance.B
+    A, B = ProblemInstance(A, B, sf)._pair
     if m < 1 or m != int(m):
         raise DomainError(f"the binomial identity wants an integer m >= 1, got {m!r}")
     m = int(m)
@@ -297,13 +289,14 @@ def trace_binomial_rhs(A, B, m: int, sf: Semifield = MAX_PLUS) -> float:
             f"the binomial expansion has 2**{m - 1} + 1 trace terms; "
             f"m = {m} exceeds the cap of {THETA_ENUMERATION_CAP}"
         )
-    b_powers = [identity_matrix(A.shape[0], sf)]
+    b_powers = [identity_matrix(A.shape[0])]
     for _ in range(m):
-        b_powers.append(_mm(b_powers[-1], B, sf))
-    acc = trace(b_powers[m], sf)
+        b_powers.append(_mm(b_powers[-1], B))
+    _check_entries(b_powers[m], sf)
+    acc = float(np.max(np.diagonal(b_powers[m])))
     for k in range(1, m + 1):
-        acc = sf.add(acc, _product_trace_sum(A, b_powers, k, m - k, exact=True, sf=sf))
-    return acc
+        acc = max(acc, _product_trace_sum(A, b_powers, k, m - k, exact=True))
+    return _flip(acc, sf)
 
 
 def sample_solution_family(
@@ -323,19 +316,23 @@ def sample_solution_family(
     differs from ``cone.theta``, or ``x`` is not regular.
     """
     sf = instance.semifield
+    A, B = instance._pair
     rng = np.random.default_rng(seed)
     failures: list[FamilyFailure] = []
-    # validated once: the loop multiplies trusted arrays
-    G = as_matrix(cone.generators, sf)
+    # validated once: the trials run on trusted max-plus arrays
+    G = _image(cone.generators, sf, "matrix")
     for t in range(trials):
         u = rng.integers(u_low, u_high + 1, size=G.shape[1]).astype(np.float64)
-        x = _mv(G, u, sf)
-        if not is_regular(x, sf):
+        x = _mv(G, _flip(u, sf))
+        if (x == -np.inf).any():
             failures.append(FamilyFailure(t, tuple(u), "regularity", None))
             continue
-        if not entrywise_leq(_mv(instance.B, x, sf), x, sf):
+        Bx = _mv(B, x)
+        # u is an int64, so G u cannot overflow; B x can
+        _check_entries(Bx, sf)
+        if not (Bx <= x).all():
             failures.append(FamilyFailure(t, tuple(u), "constraint", None))
-        value = objective(instance.A, x, sf)
+        value = _flip(_objective(A, x), sf)
         if value != cone.theta:
             failures.append(FamilyFailure(t, tuple(u), "objective", value))
     return FamilyReport(trials=trials, seed=seed, failures=tuple(failures))

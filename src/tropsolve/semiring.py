@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError, ParseError
 
 __all__ = ["Semifield", "MAX_PLUS", "MIN_PLUS", "semifield_by_name"]
@@ -45,9 +43,6 @@ class Semifield:
         self.one = 0.0
         self._maximizing = maximizing
         self._zero_token = "-inf" if maximizing else "inf"
-        # numpy kernels used by the tensor layer
-        self.np_add = np.maximum if maximizing else np.minimum
-        self.np_reduce_add = np.max if maximizing else np.min
 
     def __repr__(self) -> str:
         return f"Semifield({self.name!r})"
@@ -119,7 +114,9 @@ class Semifield:
     def format_scalar(self, x: float) -> str:
         """Render a scalar token: ``-inf``/``inf`` for the zero element,
         integers without a decimal point, shortest round-trip decimal
-        otherwise."""
+        otherwise.  A non-scalar raises :class:`DomainError`, as in
+        :meth:`scalar`."""
+        x = self.scalar(x)
         if x == self.zero:
             return self._zero_token
         if x == int(x):

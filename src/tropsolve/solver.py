@@ -24,7 +24,11 @@ No iteration or refinement is involved; the supporting pieces are the
 feasibility function ``Tr``, the bounded Kleene star, and the spectral
 radius (which is the unconstrained minimum).  Public functions validate
 their inputs once and then call the private kernels of the tensor and
-spectral layers on the trusted arrays.
+spectral layers on the trusted arrays.  Those kernels are max-plus only:
+a ``MIN_PLUS`` problem is negated once where it is validated (a
+:class:`ProblemInstance` maps its pair once) and every result is negated
+back once, which gives bitwise the min-plus answer (see
+:mod:`tropsolve.tensor`).
 """
 
 from __future__ import annotations
@@ -36,16 +40,7 @@ import numpy as np
 from .errors import DomainError, HypothesisError, ShapeError
 from .semiring import MAX_PLUS, Semifield
 from .spectral import _irreducible, _karp, _tr
-from .tensor import (
-    _as_square,
-    _check_entries,
-    _mm,
-    _mv,
-    _reduce,
-    _star,
-    as_matrix,
-    as_vector,
-)
+from .tensor import _check_entries, _flip, _image, _mm, _mv, _reduce, _star
 
 __all__ = [
     "ProblemInstance",
@@ -63,21 +58,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A pair of equal-size square matrices: objective ``A``, constraint ``B``."""
+    """A pair of equal-size square matrices: objective ``A``, constraint ``B``.
+
+    ``A`` and ``B`` are validated copies in the instance's semifield; the
+    solver reads their max-plus image, formed once here.
+    """
 
     A: np.ndarray
     B: np.ndarray
     semifield: Semifield = MAX_PLUS
 
     def __post_init__(self):
-        A = as_matrix(self.A, self.semifield)
-        B = as_matrix(self.B, self.semifield)
+        sf = self.semifield
+        A, B = _image(self.A, sf, "matrix"), _image(self.B, sf, "matrix")
         if A.shape[0] != A.shape[1]:
             raise ShapeError(f"objective matrix must be square, got {A.shape}")
         if B.shape != A.shape:
             raise ShapeError(f"constraint matrix shape {B.shape} does not match {A.shape}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "_pair", (A, B))
+        object.__setattr__(self, "A", _flip(A, sf))
+        object.__setattr__(self, "B", _flip(B, sf))
 
     @property
     def n(self) -> int:
@@ -122,21 +122,19 @@ class SolutionCone:
     hypotheses: dict[str, bool] = field(default_factory=dict)
 
 
-def _regular_vector(x, sf: Semifield, what: str) -> np.ndarray:
-    x = as_vector(x, sf)
-    if bool(np.any(x == sf.zero)):
-        raise DomainError(f"{what} is defined for regular vectors only")
-    return x
+def _objective(A: np.ndarray, x: np.ndarray) -> float:
+    # the conjugate of a regular x is -x (+ 0.0 turns -0.0 into 0.0)
+    return float(np.max((-x + 0.0) + _mv(A, x)))
 
 
 def objective(A, x, sf: Semifield = MAX_PLUS) -> float:
     """Value ``x^- (x) A (x) x`` of the objective at a regular vector."""
-    A = as_matrix(A, sf)
-    x = _regular_vector(x, sf, "objective")
+    A, x = _image(A, sf, "matrix"), _image(x, sf, "vector")
+    if bool(np.any(x == -np.inf)):
+        raise DomainError("objective is defined for regular vectors only")
     if A.shape[0] != A.shape[1] or A.shape[1] != x.shape[0]:
         raise ShapeError(f"dimension mismatch {A.shape} vs {x.shape}")
-    # the conjugate of a regular x is -x (+ 0.0 turns -0.0 into 0.0)
-    return float(sf.np_reduce_add((-x + 0.0) + _mv(A, x, sf)))
+    return _flip(_objective(A, x), sf)
 
 
 def solve_linear_inequality(A, sf: Semifield = MAX_PLUS) -> InequalitySolution:
@@ -148,38 +146,39 @@ def solve_linear_inequality(A, sf: Semifield = MAX_PLUS) -> InequalitySolution:
     the star family is guaranteed for irreducible ``A``; for reducible
     ``A`` the family is still sound and the result carries a warning.
     """
-    A = _as_square(A, sf)
-    star = _star(A, sf)
-    tr_value = _tr(A, star, sf)
-    feasible = sf.leq(tr_value, sf.one)
-    verdict = FeasibilityVerdict(feasible=feasible, tr_value=tr_value)
-    if not feasible:
+    A = _image(A, sf, "square")
+    star = _star(A)
+    tr_value = _tr(A, star)
+    verdict = FeasibilityVerdict(feasible=tr_value <= 0.0, tr_value=_flip(tr_value, sf))
+    if not verdict.feasible:
         return InequalitySolution(verdict=verdict, generators=None)
     warnings = ()
-    if not _irreducible(A, sf):
+    if not _irreducible(A):
         warnings = (
             "completeness unverified: matrix is reducible, the star family may omit solutions",
         )
-    return InequalitySolution(verdict=verdict, generators=star, warnings=warnings)
+    return InequalitySolution(verdict=verdict, generators=_flip(star, sf), warnings=warnings)
 
 
-def _theta(A: np.ndarray, B: np.ndarray, sf: Semifield) -> float:
+def _theta(instance: ProblemInstance) -> float:
     # one star of B gives both Tr(B) = tr(B B*) and theta = lambda(A B*)
-    b_star = _star(B, sf)
-    tr_b = _tr(B, b_star, sf)
-    if not sf.leq(tr_b, sf.one):
+    A, B = instance._pair
+    b_star = _star(B)
+    tr_b = _tr(B, b_star)
+    if tr_b > 0.0:
+        sf = instance.semifield
         raise HypothesisError(
-            f"Tr(B) = {sf.format_scalar(tr_b)} exceeds the identity: "
+            f"Tr(B) = {sf.format_scalar(_flip(tr_b, sf))} exceeds the identity: "
             "constraint set has no regular point",
             hypothesis="constraint feasibility",
         )
-    return _karp(_mm(A, b_star, sf), sf)
+    return _karp(_mm(A, b_star))
 
 
-def _combined(theta: float, A: np.ndarray, B: np.ndarray, sf: Semifield) -> np.ndarray:
+def _combined(theta: float, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     # theta**-1 A (+) B, checked: an overflow raises DomainError
-    combined = sf.np_add(sf.scalar(sf.inv(theta)) + A, B)
-    _check_entries(combined, sf)
+    combined = np.maximum((0.0 - theta) + A, B)
+    _check_entries(combined)
     return combined
 
 
@@ -196,8 +195,7 @@ def compute_theta(A, B, sf: Semifield = MAX_PLUS) -> float:
     ``2**n - 1``-term trace sum (see the module docstring), which
     :func:`tropsolve.oracle.theta_enumeration_oracle` evaluates directly.
     """
-    instance = ProblemInstance(A, B, sf)
-    return _theta(instance.A, instance.B, sf)
+    return _flip(_theta(ProblemInstance(A, B, sf)), sf)
 
 
 def check_hypotheses(A, B, sf: Semifield = MAX_PLUS) -> dict[str, bool]:
@@ -205,13 +203,12 @@ def check_hypotheses(A, B, sf: Semifield = MAX_PLUS) -> dict[str, bool]:
 
     :func:`solve_constrained` records the same dictionary on its cone.
     """
-    instance = ProblemInstance(A, B, sf)
-    A, B = instance.A, instance.B
+    A, B = ProblemInstance(A, B, sf)._pair
     return {
-        "irreducible_A": _irreducible(A, sf),
-        "irreducible_B": _irreducible(B, sf),
-        "spectral_radius_positive": _karp(A, sf) != sf.zero,
-        "constraint_feasible": sf.leq(_tr(B, _star(B, sf), sf), sf.one),
+        "irreducible_A": _irreducible(A),
+        "irreducible_B": _irreducible(B),
+        "spectral_radius_positive": _karp(A) != -np.inf,
+        "constraint_feasible": _tr(B, _star(B)) <= 0.0,
     }
 
 
@@ -219,15 +216,15 @@ def _cone(
     theta: float, combined: np.ndarray, sf: Semifield, warnings: list[str], hypotheses: dict
 ) -> SolutionCone:
     # the optimizers at minimum theta are (combined)* u over regular u
-    closure = _star(combined, sf)
-    generators = _reduce(closure, sf)
-    degenerate = bool((generators == sf.zero).any())
+    closure = _star(combined)
+    generators = _reduce(closure)
+    degenerate = bool((generators == -np.inf).any())
     if degenerate:
         warnings.append("some generator columns are not regular; use regular u only")
     return SolutionCone(
-        theta=theta,
-        generators=generators,
-        closure_matrix=closure,
+        theta=_flip(theta, sf),
+        generators=_flip(generators, sf),
+        closure_matrix=_flip(closure, sf),
         degenerate=degenerate,
         warnings=tuple(warnings),
         hypotheses=hypotheses,
@@ -253,23 +250,23 @@ def solve_constrained(
     ``theta``.  Each hypothesis is evaluated once and recorded on the
     cone's ``hypotheses``.
     """
-    A, B, sf = instance.A, instance.B, instance.semifield
+    (A, B), sf = instance._pair, instance.semifield
     warnings: list[str] = []
-    irreducible_a, irreducible_b = _irreducible(A, sf), _irreducible(B, sf)
+    irreducible_a, irreducible_b = _irreducible(A), _irreducible(B)
     if not (irreducible_a or irreducible_b):
         if not override_irreducibility:
             raise HypothesisError("neither A nor B irreducible", hypothesis="irreducibility")
         warnings.append("completeness unverified: neither A nor B is irreducible")
-    if _karp(A, sf) == sf.zero:
+    if _karp(A) == -np.inf:
         raise HypothesisError(
             f"spectral radius of A is {sf.format_scalar(sf.zero)}",
             hypothesis="spectral radius",
         )
-    theta = _theta(A, B, sf)
-    combined = _combined(theta, A, B, sf)
+    theta = _theta(instance)
+    combined = _combined(theta, A, B)
     # theta is finite, so the combined digraph is the union of those of A
     # and B, strongly connected as soon as one of them is
-    if not (irreducible_a or irreducible_b or _irreducible(combined, sf)):
+    if not (irreducible_a or irreducible_b or _irreducible(combined)):
         warnings.append("combined matrix theta**-1 A (+) B is reducible; completeness unverified")
     hypotheses = {
         "irreducible_A": irreducible_a,
@@ -287,16 +284,16 @@ def solve_unconstrained(A, sf: Semifield = MAX_PLUS) -> SolutionCone:
     ``A`` and the optimizers are ``x = (lam**-1 A)* u`` for regular ``u``:
     the constrained answer with ``B`` the zero matrix.
     """
-    A = _as_square(A, sf)
-    if not _irreducible(A, sf):
+    A = _image(A, sf, "square")
+    if not _irreducible(A):
         raise HypothesisError("matrix is not irreducible", hypothesis="irreducibility")
-    lam = _karp(A, sf)
-    if lam == sf.zero:
+    lam = _karp(A)
+    if lam == -np.inf:
         raise HypothesisError(
             f"spectral radius is {sf.format_scalar(sf.zero)}", hypothesis="spectral radius"
         )
     hypotheses = {"irreducible_A": True, "spectral_radius_positive": True}
-    return _cone(lam, sf.inv(lam) + A, sf, [], hypotheses)
+    return _cone(lam, (0.0 - lam) + A, sf, [], hypotheses)
 
 
 def is_solution(instance: ProblemInstance, theta: float, x) -> bool:
@@ -306,8 +303,12 @@ def is_solution(instance: ProblemInstance, theta: float, x) -> bool:
     elementwise, equivalently iff the closure fixes it.
     """
     sf = instance.semifield
-    x = _regular_vector(x, sf, "optimizer membership")
+    x = _image(x, sf, "vector")
+    if bool(np.any(x == -np.inf)):
+        raise DomainError("optimizer membership is defined for regular vectors only")
     if x.shape[0] != instance.n:
         raise ShapeError(f"dimension mismatch {instance.A.shape} vs {x.shape}")
-    combined = _combined(theta, instance.A, instance.B, sf)
-    return bool(np.all(sf.np_add(_mv(combined, x, sf), x) == x))
+    # theta is caller data: DomainError on the zero element or NaN
+    sf.scalar(sf.inv(theta))
+    combined = _combined(_flip(theta, sf), *instance._pair)
+    return bool(np.all(np.maximum(_mv(combined, x), x) == x))

@@ -10,7 +10,9 @@ the powers of ``A``, whose m-th roots the paper sums to the same radius,
 are formed only by :func:`spectral_summary`, which reports them.  Every
 value is checked to be a scalar of the semifield, so an overflow to the
 wrong-sign infinity raises :class:`DomainError` instead of passing for a
-value.
+value.  The kernels are max-plus only; a ``MIN_PLUS`` matrix is negated
+once on entry and each result once on exit, which is exact (see
+:mod:`tropsolve.tensor`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .semiring import MAX_PLUS, Semifield
-from .tensor import _as_square, _check_entries, _mm, _star
+from .tensor import _check_entries, _flip, _image, _mm, _star
 
 __all__ = [
     "SpectralSummary",
@@ -43,30 +45,31 @@ class SpectralSummary:
     per_power_traces: tuple[tuple[int, float], ...]
 
 
-def _karp(A: np.ndarray, sf: Semifield) -> float:
+def _karp(A: np.ndarray) -> float:
     # D[k, v]: best walk of exactly k edges ending at v, starting anywhere;
-    # lambda = (+)_v over finite D[n, v] of the (-)-sum over k < n of
-    # (D[n, v] - D[k, v]) / (n - k), where (-) is the opposite extremum.
-    # Each candidate is one correctly rounded division, as in tr(A**m) / m.
+    # lambda = max over v with finite D[n, v] of the min over k < n of
+    # (D[n, v] - D[k, v]) / (n - k).  Each candidate is one correctly
+    # rounded division, as in tr(A**m) / m.
     n = A.shape[0]
     D = np.empty((n + 1, n))
-    D[0] = sf.one
+    D[0] = 0.0
     for k in range(1, n + 1):
-        D[k] = sf.np_reduce_add(D[k - 1][:, None] + A, axis=0)
-    _check_entries(D, sf)
-    ends = D[n] != sf.zero
+        D[k] = np.max(D[k - 1][:, None] + A, axis=0)
+    _check_entries(D)
+    ends = D[n] != -np.inf
     if not ends.any():
-        return sf.zero
-    # an unreachable D[k, v] (the zero element) gives the infinity that
-    # the opposite extremum ignores, and D[0, v] is always finite
+        return -np.inf
+    # an unreachable D[k, v] (-inf) gives a +inf ratio, which the min
+    # ignores, and D[0, v] is always finite
     ratios = (D[n, ends] - D[:n, ends]) / (n - np.arange(n))[:, None]
-    worst = np.min if sf.np_reduce_add is np.max else np.max
-    return float(sf.np_reduce_add(worst(ratios, axis=0)))
+    return float(np.max(np.min(ratios, axis=0)))
 
 
-def _tr(A: np.ndarray, S: np.ndarray, sf: Semifield) -> float:
-    # Tr(A) = tr(A S) with S = A*: (+)_ik A_ik (x) S_ki, no product formed
-    return sf.scalar(sf.np_reduce_add(A + S.T))
+def _tr(A: np.ndarray, S: np.ndarray) -> float:
+    # Tr(A) = tr(A S) with S = A*: max_ik A_ik + S_ki, no product formed
+    t = np.max(A + S.T)
+    _check_entries(t)
+    return float(t)
 
 
 def _power_traces(A: np.ndarray, sf: Semifield) -> list[tuple[int, float]]:
@@ -74,22 +77,24 @@ def _power_traces(A: np.ndarray, sf: Semifield) -> list[tuple[int, float]]:
     out = []
     P = A
     for m in range(1, n + 1):
-        out.append((m, sf.scalar(sf.np_reduce_add(np.diagonal(P)))))
+        out.append((m, sf.scalar(_flip(np.max(np.diagonal(P)), sf))))
         if m < n:
-            P = _mm(P, A, sf)
+            P = _mm(P, A)
     return out
 
 
 def spectral_summary(A, sf: Semifield = MAX_PLUS) -> SpectralSummary:
     """Spectral radius with the traces ``tr(A**m)``, m = 1..n, for display."""
-    A = _as_square(A, sf)
-    return SpectralSummary(radius=_karp(A, sf), per_power_traces=tuple(_power_traces(A, sf)))
+    A = _image(A, sf, "square")
+    return SpectralSummary(
+        radius=_flip(_karp(A), sf), per_power_traces=tuple(_power_traces(A, sf))
+    )
 
 
 def spectral_radius(A, sf: Semifield = MAX_PLUS) -> float:
     """Maximal eigenvalue: the best cycle mean, equal to the (+)-sum over
     m = 1..n of tr(A**m) ** (1/m)."""
-    return _karp(_as_square(A, sf), sf)
+    return _flip(_karp(_image(A, sf, "square")), sf)
 
 
 def big_tr(A, sf: Semifield = MAX_PLUS) -> float:
@@ -98,8 +103,8 @@ def big_tr(A, sf: Semifield = MAX_PLUS) -> float:
     ``A x <= x`` has regular solutions iff ``Tr(A) <= 1`` (the identity
     element); equivalently, iff no cycle weight exceeds the identity.
     """
-    A = _as_square(A, sf)
-    return _tr(A, _star(A, sf), sf)
+    A = _image(A, sf, "square")
+    return _flip(_tr(A, _star(A)), sf)
 
 
 def _reaches_all(edges: np.ndarray) -> bool:
@@ -113,8 +118,8 @@ def _reaches_all(edges: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def _irreducible(A: np.ndarray, sf: Semifield) -> bool:
-    edges = A != sf.zero
+def _irreducible(A: np.ndarray) -> bool:
+    edges = A != -np.inf
     return A.shape[0] == 1 or (_reaches_all(edges) and _reaches_all(edges.T))
 
 
@@ -125,4 +130,4 @@ def is_irreducible(A, sf: Semifield = MAX_PLUS) -> bool:
     block-triangular form.  A 1x1 matrix is irreducible by convention
     regardless of its entry.
     """
-    return _irreducible(_as_square(A, sf), sf)
+    return _irreducible(_image(A, sf, "square"))

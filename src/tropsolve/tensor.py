@@ -2,12 +2,19 @@
 
 Matrices and vectors are ordinary ``numpy`` float64 arrays; every
 operation takes the semifield as a keyword argument (default
-``MAX_PLUS``) and validates its operands on entry, once.  The work is done
-by private kernels (``_mm``, ``_star``, ``_reduce``) that take trusted
-float64 arrays; the spectral and solver layers call them directly on
-data they have already validated.  Functions are pure: inputs are never
-mutated and results are freshly allocated, so arrays can be shared
-freely between threads.
+``MAX_PLUS``) and validates its operands on entry, once.  Functions are
+pure: inputs are never mutated and results are freshly allocated, so
+arrays can be shared freely between threads.
+
+One sign convention runs below the public functions.  ``MIN_PLUS`` is
+the image of ``MAX_PLUS`` under ``x -> -x``, and IEEE negation is exact,
+so caller data is negated once where it is validated (``_image``), every
+private kernel (``_mm``, ``_mv``, ``_star``, ``_reduce``) is a max-plus
+kernel on trusted float64 arrays, and each result is negated back once
+(``_flip``).  Results are bitwise those of min-plus arithmetic, with
+``0.0 - x`` in place of ``-x`` so that no ``-0.0`` appears.  The
+spectral and solver layers call the kernels directly on data they have
+already validated.
 
 The zero element of the semifield (``-inf`` in max-plus) doubles as the
 missing-edge marker: a matrix is interpreted as a weighted digraph with
@@ -41,48 +48,60 @@ __all__ = [
 ]
 
 
-def _check_entries(arr: np.ndarray, sf: Semifield) -> None:
-    if (np.isfinite(arr) | (arr == sf.zero)).all():
+def _check_entries(X, sf: Semifield | None = None) -> None:
+    # a max-plus image holds finite entries and -inf only; for caller data
+    # the message names the caller's semifield, for a kernel result none
+    if (X < np.inf).all():
         return
-    if np.isnan(arr).any():
+    if np.isnan(X).any():
         raise DomainError("NaN entries are not semifield scalars")
+    if sf is None:
+        raise DomainError("infinite entry with the wrong sign after an overflow")
     raise DomainError(
         f"infinite entry with the wrong sign for {sf.name} "
         f"(zero element is {sf.format_scalar(sf.zero)})"
     )
 
 
+def _flip(X, sf: Semifield):
+    # the max-plus image of caller data, and the caller's view of a kernel
+    # result: the identity in max-plus, 0.0 - X in min-plus (never -0.0)
+    return X if sf is MAX_PLUS else 0.0 - X
+
+
+def _image(entries, sf: Semifield, kind: str = "array") -> np.ndarray:
+    """The one entry for caller data: a checked float64 copy of ``entries``
+    as its max-plus image.
+
+    ``kind`` is ``"vector"`` (1-d, length >= 1), ``"matrix"`` (2-d, both
+    sizes >= 1), ``"square"`` or ``"array"`` (any shape).  Ragged or
+    non-numeric data and a wrong shape raise :class:`ShapeError`; NaN and
+    the infinity opposite to the zero element raise :class:`DomainError`.
+    """
+    try:
+        X = np.array(entries, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        noun = "matrix" if kind in ("matrix", "square") else "array"
+        raise ShapeError(f"not a rectangular {noun}: {exc}") from None
+    if kind == "vector" and (X.ndim != 1 or X.shape[0] < 1):
+        raise ShapeError(f"expected a 1-d vector of positive length, got shape {X.shape}")
+    if kind in ("matrix", "square") and (X.ndim != 2 or min(X.shape) < 1):
+        raise ShapeError(f"expected a 2-d matrix with positive sizes, got shape {X.shape}")
+    X = _flip(X, sf)
+    _check_entries(X, sf)
+    if kind == "square" and X.shape[0] != X.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {X.shape}")
+    return X
+
+
 def as_matrix(entries, sf: Semifield = MAX_PLUS) -> np.ndarray:
     """Copy ``entries`` into a validated float64 matrix (both sizes >= 1)."""
-    try:
-        A = np.array(entries, dtype=np.float64)
-    except ValueError as exc:
-        raise ShapeError(f"not a rectangular matrix: {exc}") from None
-    if A.ndim != 2 or min(A.shape) < 1:
-        raise ShapeError(f"expected a 2-d matrix with positive sizes, got shape {A.shape}")
-    _check_entries(A, sf)
-    return A
+    return _flip(_image(entries, sf, "matrix"), sf)
 
 
 def as_vector(entries, sf: Semifield = MAX_PLUS) -> np.ndarray:
     """Copy ``entries`` into a validated float64 vector of length >= 1."""
-    x = np.array(entries, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise ShapeError(f"expected a 1-d vector of positive length, got shape {x.shape}")
-    _check_entries(x, sf)
-    return x
-
-
-def _square(A: np.ndarray) -> int:
-    if A.shape[0] != A.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {A.shape}")
-    return A.shape[0]
-
-
-def _as_square(entries, sf: Semifield) -> np.ndarray:
-    A = as_matrix(entries, sf)
-    _square(A)
-    return A
+    return _flip(_image(entries, sf, "vector"), sf)
 
 
 def zero_matrix(n: int, m: int | None = None, sf: Semifield = MAX_PLUS) -> np.ndarray:
@@ -104,71 +123,67 @@ def identity_matrix(n: int, sf: Semifield = MAX_PLUS) -> np.ndarray:
 _MM_BROADCAST_ENTRIES = 1 << 17
 
 
-def _mm(A: np.ndarray, B: np.ndarray, sf: Semifield) -> np.ndarray:
-    # (A B)_ij = (+)_k A_ik (x) B_kj; every temporary stays within
+def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # (A B)_ij = max_k A_ik + B_kj; every temporary stays within
     # max(_MM_BROADCAST_ENTRIES, n m) entries, so memory is O(n m)
     if A.size * B.shape[1] <= _MM_BROADCAST_ENTRIES:
-        return sf.np_reduce_add(A[:, :, None] + B[None, :, :], axis=1)
+        return np.max(A[:, :, None] + B[None, :, :], axis=1)
     out = A[:, 0, None] + B[0]
     term = np.empty_like(out)
     for k in range(1, A.shape[1]):
         np.add(A[:, k, None], B[k], out=term)
-        sf.np_add(out, term, out=out)
+        np.maximum(out, term, out=out)
     return out
 
 
-def _mv(A: np.ndarray, x: np.ndarray, sf: Semifield) -> np.ndarray:
-    return sf.np_reduce_add(A + x[None, :], axis=1)
+def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.max(A + x[None, :], axis=1)
 
 
 def mat_add(A, B, sf: Semifield = MAX_PLUS) -> np.ndarray:
     """Entrywise idempotent addition; shapes must agree."""
-    A, B = as_matrix(A, sf), as_matrix(B, sf)
+    A, B = _image(A, sf, "matrix"), _image(B, sf, "matrix")
     if A.shape != B.shape:
         raise ShapeError(f"shape mismatch {A.shape} vs {B.shape}")
-    return sf.np_add(A, B)
+    return _flip(np.maximum(A, B), sf)
 
 
 def mat_mul(A, B, sf: Semifield = MAX_PLUS) -> np.ndarray:
     """Semiring matrix product; inner dimensions must agree."""
-    A, B = as_matrix(A, sf), as_matrix(B, sf)
+    A, B = _image(A, sf, "matrix"), _image(B, sf, "matrix")
     if A.shape[1] != B.shape[0]:
         raise ShapeError(f"inner dimension mismatch {A.shape} vs {B.shape}")
-    return _mm(A, B, sf)
+    return _flip(_mm(A, B), sf)
 
 
 def mat_vec(A, x, sf: Semifield = MAX_PLUS) -> np.ndarray:
     """Matrix-vector product ``A x``."""
-    A, x = as_matrix(A, sf), as_vector(x, sf)
+    A, x = _image(A, sf, "matrix"), _image(x, sf, "vector")
     if A.shape[1] != x.shape[0]:
         raise ShapeError(f"dimension mismatch {A.shape} vs {x.shape}")
-    return _mv(A, x, sf)
+    return _flip(_mv(A, x), sf)
 
 
 def mat_pow(A, p: int, sf: Semifield = MAX_PLUS) -> np.ndarray:
     """``p``-th power of a square matrix; ``A ** 0`` is the identity."""
-    A = as_matrix(A, sf)
-    n = _square(A)
+    A = _image(A, sf, "square")
     if p < 0 or p != int(p):
         raise DomainError(f"matrix power wants a nonnegative integer, got {p!r}")
-    P = identity_matrix(n, sf)
+    P = identity_matrix(A.shape[0])
     for _ in range(int(p)):
-        P = _mm(P, A, sf)
-    return P
+        P = _mm(P, A)
+    return _flip(P, sf)
 
 
 def scalar_mul(c: float, A, sf: Semifield = MAX_PLUS) -> np.ndarray:
     """Entrywise multiplication of a matrix (or vector) by a scalar."""
     c = sf.scalar(c)
-    A = np.array(A, dtype=np.float64)
-    _check_entries(A, sf)
-    return c + A
+    return _flip(_flip(c, sf) + _image(A, sf), sf)
 
 
 def trace(A, sf: Semifield = MAX_PLUS) -> float:
     """Idempotent sum of the diagonal entries."""
-    A = _as_square(A, sf)
-    return float(sf.np_reduce_add(np.diagonal(A)))
+    return _flip(float(np.max(np.diagonal(_image(A, sf, "square")))), sf)
 
 
 def conjugate(x, sf: Semifield = MAX_PLUS) -> np.ndarray:
@@ -178,29 +193,29 @@ def conjugate(x, sf: Semifield = MAX_PLUS) -> np.ndarray:
     conjugate.  The result is returned as a plain 1-d array whose row
     orientation is contextual.
     """
-    x = as_vector(x, sf)
-    if bool(np.all(x == sf.zero)):
+    x = _image(x, sf, "vector")
+    if bool(np.all(x == -np.inf)):
         raise DomainError("the all-zero vector has no conjugate")
-    return np.where(x == sf.zero, sf.zero, -x + 0.0)
+    return _flip(np.where(x == -np.inf, -np.inf, -x + 0.0), sf)
 
 
-def _star(A: np.ndarray, sf: Semifield) -> np.ndarray:
+def _star(A: np.ndarray) -> np.ndarray:
     # S_t = I (+) A (+) ... (+) A**(t-1) with P = A**t, built along the bits
     # of n from the top: S_2t = S_t (+) A**t S_t and S_(t+1) = S_t (+) A**t.
     # At most three products per bit, and no power beyond A**(n-1).
     n = A.shape[0]
-    S, P = identity_matrix(n, sf), A
+    S, P = identity_matrix(n), A
     bits = bin(n)[3:]
     for pos, bit in enumerate(bits):
         last = pos == len(bits) - 1
-        S = sf.np_add(S, _mm(P, S, sf))
+        S = np.maximum(S, _mm(P, S))
         if bit == "1" or not last:
-            P = _mm(P, P, sf)
+            P = _mm(P, P)
         if bit == "1":
-            S = sf.np_add(S, P)
+            S = np.maximum(S, P)
             if not last:
-                P = _mm(P, A, sf)
-    _check_entries(S, sf)
+                P = _mm(P, A)
+    _check_entries(S)
     return S
 
 
@@ -214,13 +229,12 @@ def kleene_star(A, sf: Semifield = MAX_PLUS) -> np.ndarray:
     solutions of ``A x <= x``.  A path weight that overflows to the
     wrong-sign infinity raises :class:`DomainError`.
     """
-    return _star(_as_square(A, sf), sf)
+    return _flip(_star(_image(A, sf, "square")), sf)
 
 
 def is_regular(x, sf: Semifield = MAX_PLUS) -> bool:
     """True iff the vector has no zero elements."""
-    x = as_vector(x, sf)
-    return bool(np.all(x != sf.zero))
+    return bool(np.all(_image(x, sf, "vector") != -np.inf))
 
 
 def collinear(x, y, sf: Semifield = MAX_PLUS) -> float | None:
@@ -230,25 +244,25 @@ def collinear(x, y, sf: Semifield = MAX_PLUS) -> float | None:
     the first index where both are nonzero and then checked exactly
     everywhere else.
     """
-    x, y = as_vector(x, sf), as_vector(y, sf)
+    x, y = _image(x, sf, "vector"), _image(y, sf, "vector")
     if x.shape != y.shape:
         raise ShapeError(f"length mismatch {x.shape} vs {y.shape}")
-    fx = x != sf.zero
-    fy = y != sf.zero
+    fx = x != -np.inf
+    fy = y != -np.inf
     if not fx.any() or not fy.any():
         raise DomainError("collinearity is defined for nonzero vectors")
     if not np.array_equal(fx, fy):
         return None
     i = int(np.argmax(fx))
     c = float(y[i] - x[i])
-    return c if bool(np.all(y[fx] == c + x[fx])) else None
+    return _flip(c, sf) if bool(np.all(y[fx] == c + x[fx])) else None
 
 
-def _reduce(G: np.ndarray, sf: Semifield) -> np.ndarray:
+def _reduce(G: np.ndarray) -> np.ndarray:
     # Each column is tested against every kept column at once, with the
     # arithmetic of collinear(): equal zero patterns, c = y_i - x_i at the
     # first nonzero index i, then y == c + x on the nonzero entries.
-    nonzero = G != sf.zero
+    nonzero = G != -np.inf
     kept: list[int] = []
     for j in np.flatnonzero(nonzero.any(axis=0)):
         pattern = nonzero[:, j]
@@ -273,7 +287,7 @@ def reduce_generators(G, sf: Semifield = MAX_PLUS) -> np.ndarray:
     columns stay in their original order; if every column is zero the
     first is kept so the result still has one column.
     """
-    return _reduce(as_matrix(G, sf), sf)
+    return _flip(_reduce(_image(G, sf, "matrix")), sf)
 
 
 def entrywise_leq(A, B, sf: Semifield = MAX_PLUS) -> bool:
@@ -281,10 +295,7 @@ def entrywise_leq(A, B, sf: Semifield = MAX_PLUS) -> bool:
 
     Operands may be matrices or vectors of any shape, the same for both.
     """
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    _check_entries(A, sf)
-    _check_entries(B, sf)
+    A, B = _image(A, sf), _image(B, sf)
     if A.shape != B.shape:
         raise ShapeError(f"shape mismatch {A.shape} vs {B.shape}")
-    return bool(np.all(sf.np_add(A, B) == B))
+    return bool(np.all(np.maximum(A, B) == B))

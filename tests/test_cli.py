@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tropsolve as ts
-from tropsolve import MIN_PLUS, ParseError
+from tropsolve import MAX_PLUS, MIN_PLUS, DomainError, ParseError
 from tropsolve.cli import format_matrix, main, parse_matrix
 
 from helpers import NEG_INF, rand_matrix
@@ -66,6 +66,23 @@ class TestParseMatrix:
             assert np.array_equal(parse_matrix(format_matrix(M)), M)
         W = ts.as_matrix([[0.0, float("inf")], [3.0, 0.0]], MIN_PLUS)
         assert np.array_equal(parse_matrix(format_matrix(W, MIN_PLUS), MIN_PLUS), W)
+
+
+class TestFormatMatrix:
+    @pytest.mark.parametrize("sf", [MAX_PLUS, MIN_PLUS], ids=lambda sf: sf.name)
+    def test_non_scalars_are_domain_errors(self, sf):
+        for bad in (float("nan"), -sf.zero):
+            with pytest.raises(DomainError):
+                sf.format_scalar(bad)
+            with pytest.raises(DomainError):
+                format_matrix([[0.0, bad]], sf)
+
+    @pytest.mark.parametrize("sf", [MAX_PLUS, MIN_PLUS], ids=lambda sf: sf.name)
+    def test_non_integer_entries_print_as_plain_decimals(self, sf):
+        M = np.array([[0.5, sf.zero], [-1 / 3, 2.0]])
+        text = format_matrix(M, sf)
+        assert text.splitlines()[1:] == ["0.5 " + sf.format_scalar(sf.zero), f"{-1 / 3!r} 2"]
+        assert np.array_equal(parse_matrix(text, sf), M)
 
 
 class TestGoldenRuns:

@@ -36,6 +36,26 @@ class TestConstruction:
         assert ts.entrywise_leq([sf.zero, 0.0], [0.0, 0.0], sf)
         assert not ts.entrywise_leq([[0.0]], [[sf.zero]], sf)
 
+    @pytest.mark.parametrize("bad", [[[1.0], [2.0, 3.0]], ["a", 1.0], [object()]])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda v: ts.as_vector(v),
+            lambda v: ts.mat_vec([[0.0]], v),
+            lambda v: ts.scalar_mul(1.0, v),
+            lambda v: ts.entrywise_leq(v, v),
+            lambda v: ts.collinear(v, v),
+            lambda v: ts.objective([[0.0]], v),
+            lambda v: ts.is_regular(v),
+            lambda v: ts.as_matrix(v),
+        ],
+        ids=["as_vector", "mat_vec", "scalar_mul", "entrywise_leq", "collinear", "objective",
+             "is_regular", "as_matrix"],
+    )
+    def test_ragged_or_non_numeric_input_is_a_shape_error(self, call, bad):
+        with pytest.raises(ShapeError):
+            call(bad)
+
     def test_inputs_are_never_mutated(self):
         M = np.array(A2)
         before = M.copy()
@@ -75,10 +95,10 @@ class TestArithmetic:
         # 100 x 100 x 100 is past the single-broadcast size, so the product
         # loops over the middle index; the max or min is the same
         rng = np.random.default_rng(11)
-        for sf in (MAX_PLUS, MIN_PLUS):
+        for sf, reduce_add in ((MAX_PLUS, np.max), (MIN_PLUS, np.min)):
             A, B = (rand_matrix(rng, 100, zero_density=0.5) for _ in range(2))
             A[A == NEG_INF] = B[B == NEG_INF] = sf.zero
-            expected = sf.np_reduce_add(A[:, :, None] + B[None, :, :], axis=1)
+            expected = reduce_add(A[:, :, None] + B[None, :, :], axis=1)
             assert np.array_equal(ts.mat_mul(A, B, sf), expected)
 
     def test_mat_pow(self):
