@@ -8,7 +8,7 @@ constrained minimum as a sum of ``2**n - 1`` trace terms,
             of tr(A B**i1 ... A B**ik) ** (1/k),
 
 and the optimizers are exactly ``x = (theta**-1 A (+) B)* u`` for regular
-``u``.  The solver evaluates the same value in ``O(n**3 log n)`` time as
+``u``.  The solver evaluates the same value in ``O(n**3)`` time as
 
     theta = lambda(A B*),
 
@@ -22,7 +22,12 @@ sum (Butkovic, *Max-linear Systems*, 2010, ch. 1).  The enumeration is
 kept as :func:`tropsolve.oracle.theta_enumeration_oracle` for checking.
 No iteration or refinement is involved; the supporting pieces are the
 feasibility function ``Tr``, the bounded Kleene star, and the spectral
-radius (which is the unconstrained minimum).  Public functions validate
+radius (which is the unconstrained minimum).  Both stars of a solve,
+``B*`` and the closure, have no cycle above the identity, so each is one
+Floyd-Warshall pass; with Karp's ``O(n**3)`` radius and one product, a
+solve is ``O(n**3)`` time and ``O(n**2)`` memory.  An n-by-n matrix is
+irreducible exactly when its bounded star has no zero entry, so the
+irreducibility of ``B`` is read from ``B*``.  Public functions validate
 their inputs once and then call the private kernels of the tensor and
 spectral layers on the trusted arrays.  Those kernels are max-plus only:
 a ``MIN_PLUS`` problem is negated once where it is validated (a
@@ -124,11 +129,22 @@ class SolutionCone:
 
 def _objective(A: np.ndarray, x: np.ndarray) -> float:
     # the conjugate of a regular x is -x (+ 0.0 turns -0.0 into 0.0)
-    return float(np.max((-x + 0.0) + _mv(A, x)))
+    value = np.max((-x + 0.0) + _mv(A, x))
+    _check_entries(value)
+    return float(value)
+
+
+def _strongly_connected(star: np.ndarray) -> bool:
+    # an n-by-n matrix is irreducible iff its bounded star has no zero entry
+    return bool((star != -np.inf).all())
 
 
 def objective(A, x, sf: Semifield = MAX_PLUS) -> float:
-    """Value ``x^- (x) A (x) x`` of the objective at a regular vector."""
+    """Value ``x^- (x) A (x) x`` of the objective at a regular vector.
+
+    A value that overflows to the wrong-sign infinity raises
+    :class:`DomainError`.
+    """
     A, x = _image(A, sf, "matrix"), _image(x, sf, "vector")
     if bool(np.any(x == -np.inf)):
         raise DomainError("objective is defined for regular vectors only")
@@ -153,20 +169,17 @@ def solve_linear_inequality(A, sf: Semifield = MAX_PLUS) -> InequalitySolution:
     if not verdict.feasible:
         return InequalitySolution(verdict=verdict, generators=None)
     warnings = ()
-    if not _irreducible(A):
+    if not _strongly_connected(star):
         warnings = (
             "completeness unverified: matrix is reducible, the star family may omit solutions",
         )
     return InequalitySolution(verdict=verdict, generators=_flip(star, sf), warnings=warnings)
 
 
-def _theta(instance: ProblemInstance) -> float:
+def _theta(A: np.ndarray, B: np.ndarray, b_star: np.ndarray, sf: Semifield) -> float:
     # one star of B gives both Tr(B) = tr(B B*) and theta = lambda(A B*)
-    A, B = instance._pair
-    b_star = _star(B)
     tr_b = _tr(B, b_star)
     if tr_b > 0.0:
-        sf = instance.semifield
         raise HypothesisError(
             f"Tr(B) = {sf.format_scalar(_flip(tr_b, sf))} exceeds the identity: "
             "constraint set has no regular point",
@@ -185,17 +198,19 @@ def _combined(theta: float, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def compute_theta(A, B, sf: Semifield = MAX_PLUS) -> float:
     """Constrained minimum of ``x^- A x`` subject to ``B x <= x``.
 
-    Computed as ``lambda(A B*)`` from one bounded star ``B*``, one
-    product and one spectral radius (Karp's algorithm), in
-    ``O(n**3 log n)`` time.  ``Tr(B)`` is read from the same
-    star as ``tr(B B*)``; it must be at most the identity, since
-    otherwise no regular point satisfies the constraint and the paper's
-    trace sum is not the minimum of anything, so :class:`HypothesisError`
-    is raised.  Under ``Tr(B) <= 1`` the value equals the paper's
-    ``2**n - 1``-term trace sum (see the module docstring), which
-    :func:`tropsolve.oracle.theta_enumeration_oracle` evaluates directly.
+    Computed as ``lambda(A B*)`` from one bounded star ``B*`` (one
+    Floyd-Warshall pass when ``Tr(B) <= 1``), one product and one
+    spectral radius (Karp's algorithm), in ``O(n**3)`` time.  ``Tr(B)``
+    is read from the same star as ``tr(B B*)``; it must be at most the
+    identity, since otherwise no regular point satisfies the constraint
+    and the paper's trace sum is not the minimum of anything, so
+    :class:`HypothesisError` is raised.  Under ``Tr(B) <= 1`` the value
+    equals the paper's ``2**n - 1``-term trace sum (see the module
+    docstring), which :func:`tropsolve.oracle.theta_enumeration_oracle`
+    evaluates directly.
     """
-    return _flip(_theta(ProblemInstance(A, B, sf)), sf)
+    A, B = ProblemInstance(A, B, sf)._pair
+    return _flip(_theta(A, B, _star(B), sf), sf)
 
 
 def check_hypotheses(A, B, sf: Semifield = MAX_PLUS) -> dict[str, bool]:
@@ -204,11 +219,12 @@ def check_hypotheses(A, B, sf: Semifield = MAX_PLUS) -> dict[str, bool]:
     :func:`solve_constrained` records the same dictionary on its cone.
     """
     A, B = ProblemInstance(A, B, sf)._pair
+    b_star = _star(B)
     return {
         "irreducible_A": _irreducible(A),
-        "irreducible_B": _irreducible(B),
+        "irreducible_B": _strongly_connected(b_star),
         "spectral_radius_positive": _karp(A) != -np.inf,
-        "constraint_feasible": _tr(B, _star(B)) <= 0.0,
+        "constraint_feasible": _tr(B, b_star) <= 0.0,
     }
 
 
@@ -252,7 +268,8 @@ def solve_constrained(
     """
     (A, B), sf = instance._pair, instance.semifield
     warnings: list[str] = []
-    irreducible_a, irreducible_b = _irreducible(A), _irreducible(B)
+    b_star = _star(B)
+    irreducible_a, irreducible_b = _irreducible(A), _strongly_connected(b_star)
     if not (irreducible_a or irreducible_b):
         if not override_irreducibility:
             raise HypothesisError("neither A nor B irreducible", hypothesis="irreducibility")
@@ -262,7 +279,7 @@ def solve_constrained(
             f"spectral radius of A is {sf.format_scalar(sf.zero)}",
             hypothesis="spectral radius",
         )
-    theta = _theta(instance)
+    theta = _theta(A, B, b_star, sf)
     combined = _combined(theta, A, B)
     # theta is finite, so the combined digraph is the union of those of A
     # and B, strongly connected as soon as one of them is
@@ -300,7 +317,8 @@ def is_solution(instance: ProblemInstance, theta: float, x) -> bool:
     """Membership test for the optimizer set at minimum value ``theta``.
 
     A regular ``x`` is an optimizer iff ``(theta**-1 A (+) B) x <= x``
-    elementwise, equivalently iff the closure fixes it.
+    elementwise, equivalently iff the closure fixes it.  ``theta`` must be
+    a finite scalar: NaN and either infinity raise :class:`DomainError`.
     """
     sf = instance.semifield
     x = _image(x, sf, "vector")
@@ -308,7 +326,8 @@ def is_solution(instance: ProblemInstance, theta: float, x) -> bool:
         raise DomainError("optimizer membership is defined for regular vectors only")
     if x.shape[0] != instance.n:
         raise ShapeError(f"dimension mismatch {instance.A.shape} vs {x.shape}")
-    # theta is caller data: DomainError on the zero element or NaN
-    sf.scalar(sf.inv(theta))
+    # theta is caller data: DomainError on NaN, the wrong-sign infinity or
+    # the zero element
+    sf.inv(sf.scalar(theta))
     combined = _combined(_flip(theta, sf), *instance._pair)
     return bool(np.all(np.maximum(_mv(combined, x), x) == x))

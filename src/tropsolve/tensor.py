@@ -18,7 +18,19 @@ already validated.
 
 The zero element of the semifield (``-inf`` in max-plus) doubles as the
 missing-edge marker: a matrix is interpreted as a weighted digraph with
-an edge ``i -> j`` wherever ``A[i, j]`` is nonzero.
+an edge ``i -> j`` wherever ``A[i, j]`` is nonzero.  A result entry that
+overflows to the wrong-sign infinity (``+inf`` in the max-plus image) is
+no scalar: ``mat_mul``, ``mat_vec``, ``mat_pow``, ``scalar_mul`` and
+``kleene_star`` raise :class:`DomainError` for it.
+
+The bounded star is one Floyd-Warshall pass, ``O(n**3)`` time and
+``O(n**2)`` memory, whenever no cycle weight exceeds the identity.  Every
+star the solver builds is such a matrix, unless a non-float ``theta``
+was rounded so that a cycle comes out one ulp above it.  A matrix with
+such a cycle (``Tr > 1``) falls back to the doubling star,
+``O(n**3 log n)``.  Generator reduction of a closure (zero diagonal)
+tests only the columns that lie on a common zero-weight cycle with an
+earlier column, found in ``O(n**2)``.
 """
 
 from __future__ import annotations
@@ -153,7 +165,9 @@ def mat_mul(A, B, sf: Semifield = MAX_PLUS) -> np.ndarray:
     A, B = _image(A, sf, "matrix"), _image(B, sf, "matrix")
     if A.shape[1] != B.shape[0]:
         raise ShapeError(f"inner dimension mismatch {A.shape} vs {B.shape}")
-    return _flip(_mm(A, B), sf)
+    P = _mm(A, B)
+    _check_entries(P)
+    return _flip(P, sf)
 
 
 def mat_vec(A, x, sf: Semifield = MAX_PLUS) -> np.ndarray:
@@ -161,7 +175,9 @@ def mat_vec(A, x, sf: Semifield = MAX_PLUS) -> np.ndarray:
     A, x = _image(A, sf, "matrix"), _image(x, sf, "vector")
     if A.shape[1] != x.shape[0]:
         raise ShapeError(f"dimension mismatch {A.shape} vs {x.shape}")
-    return _flip(_mv(A, x), sf)
+    y = _mv(A, x)
+    _check_entries(y)
+    return _flip(y, sf)
 
 
 def mat_pow(A, p: int, sf: Semifield = MAX_PLUS) -> np.ndarray:
@@ -172,13 +188,16 @@ def mat_pow(A, p: int, sf: Semifield = MAX_PLUS) -> np.ndarray:
     P = identity_matrix(A.shape[0])
     for _ in range(int(p)):
         P = _mm(P, A)
+    # +inf from an overflow survives every later product (or turns into NaN)
+    _check_entries(P)
     return _flip(P, sf)
 
 
 def scalar_mul(c: float, A, sf: Semifield = MAX_PLUS) -> np.ndarray:
     """Entrywise multiplication of a matrix (or vector) by a scalar."""
-    c = sf.scalar(c)
-    return _flip(_flip(c, sf) + _image(A, sf), sf)
+    X = _flip(sf.scalar(c), sf) + _image(A, sf)
+    _check_entries(X)
+    return _flip(X, sf)
 
 
 def trace(A, sf: Semifield = MAX_PLUS) -> float:
@@ -199,7 +218,7 @@ def conjugate(x, sf: Semifield = MAX_PLUS) -> np.ndarray:
     return _flip(np.where(x == -np.inf, -np.inf, -x + 0.0), sf)
 
 
-def _star(A: np.ndarray) -> np.ndarray:
+def _doubling_star(A: np.ndarray) -> np.ndarray:
     # S_t = I (+) A (+) ... (+) A**(t-1) with P = A**t, built along the bits
     # of n from the top: S_2t = S_t (+) A**t S_t and S_(t+1) = S_t (+) A**t.
     # At most three products per bit, and no power beyond A**(n-1).
@@ -219,14 +238,35 @@ def _star(A: np.ndarray) -> np.ndarray:
     return S
 
 
+def _star(A: np.ndarray) -> np.ndarray:
+    # Floyd-Warshall: after step k, S[i, j] is the heaviest walk from i to j
+    # whose inner nodes are among 0..k.  With no positive cycle (no diagonal
+    # entry above 0) the heaviest walk is a simple path, so S with its
+    # diagonal set to 0.0 is exactly the bounded star.  A positive cycle, or
+    # an overflow to +inf or NaN, takes the doubling star instead, which
+    # gives the bounded sum or raises DomainError.  (+ 0.0 copies A and
+    # turns -0.0 into 0.0.)
+    S = A + 0.0
+    term = np.empty_like(S)
+    for k in range(S.shape[0]):
+        np.add(S[:, k, None], S[k], out=term)
+        np.maximum(S, term, out=S)
+    if (np.diagonal(S) <= 0.0).all() and (S < np.inf).all():
+        np.fill_diagonal(S, 0.0)
+        return S
+    return _doubling_star(A)
+
+
 def kleene_star(A, sf: Semifield = MAX_PLUS) -> np.ndarray:
     """Bounded star ``I (+) A (+) ... (+) A**(n-1)`` of an n-by-n matrix.
 
-    Built by binary expansion of n, with at most three products per bit
-    of n (``O(n**3 log n)``), and exactly the bounded sum even when some
-    cycle weight exceeds the identity.  When every cycle weight is at
-    most the identity (``Tr(A) <= 1``) this generates all regular
-    solutions of ``A x <= x``.  A path weight that overflows to the
+    When every cycle weight is at most the identity (``Tr(A) <= 1``) the
+    star is one Floyd-Warshall pass, ``O(n**3)`` time and ``O(n**2)``
+    memory, and it generates all regular solutions of ``A x <= x``.
+    Otherwise it is built by binary expansion of n, with at most three
+    products per bit of n (``O(n**3 log n)``), and is still exactly the
+    bounded sum.  On non-integer data the two orders of summation can
+    differ in the last bits.  A path weight that overflows to the
     wrong-sign infinity raises :class:`DomainError`.
     """
     return _flip(_star(_image(A, sf, "square")), sf)
@@ -259,23 +299,31 @@ def collinear(x, y, sf: Semifield = MAX_PLUS) -> float | None:
 
 
 def _reduce(G: np.ndarray) -> np.ndarray:
-    # Each column is tested against every kept column at once, with the
-    # arithmetic of collinear(): equal zero patterns, c = y_i - x_i at the
-    # first nonzero index i, then y == c + x on the nonzero entries.
+    # Each column is tested against the kept columns before it at once, with
+    # the arithmetic of collinear(): equal zero patterns, c = y_i - x_i at
+    # the first nonzero index i, then y == c + x on the nonzero entries.
     nonzero = G != -np.inf
-    kept: list[int] = []
-    for j in np.flatnonzero(nonzero.any(axis=0)):
+    keep = nonzero.any(axis=0)
+    tested, partner = keep, None
+    if G.shape[0] == G.shape[1] and (np.diagonal(G) == 0.0).all():
+        # a closure: if column j == c + column i, rows i and j give
+        # G[i, j] == c and 0 == c + G[j, i], so only a column with an earlier
+        # partner G[i, j] == -G[j, i] (a zero-weight cycle through i and j)
+        # can be dropped, and only by a partner; the others are kept untested
+        partner = np.triu(G == -G.T, 1)
+        tested = partner.any(axis=0)
+    for j in np.flatnonzero(tested):
+        same = np.flatnonzero(keep[:j] if partner is None else keep[:j] & partner[:j, j])
         pattern = nonzero[:, j]
-        same = np.array(kept, dtype=np.intp)
         same = same[np.all(nonzero[:, same] == pattern[:, None], axis=0)]
         if same.size:
             rows = np.flatnonzero(pattern)
             x, y = G[np.ix_(rows, same)], G[rows, j]
             c = y[0] - x[0]
-            if np.all(y[:, None] == c + x, axis=0).any():
-                continue
-        kept.append(int(j))
-    return G[:, kept or [0]]
+            keep[j] = not np.all(y[:, None] == c + x, axis=0).any()
+    if not keep.any():
+        keep[0] = True
+    return G[:, keep]
 
 
 def reduce_generators(G, sf: Semifield = MAX_PLUS) -> np.ndarray:

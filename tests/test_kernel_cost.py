@@ -60,8 +60,17 @@ def products(monkeypatch):
     return calls
 
 
-def test_star_takes_logarithmically_many_products(big, products):
+def test_feasible_star_takes_no_product(big, products):
+    # no cycle of big is positive, so Floyd-Warshall alone builds the star
     ts.kleene_star(big)
+    assert products == []
+
+
+def test_star_takes_logarithmically_many_products(big, products):
+    # a positive self-loop makes Tr > 1, where the doubling star runs
+    infeasible = big.copy()
+    infeasible[0, 0] = 1.0
+    ts.kleene_star(infeasible)
     assert 0 < len(products) <= 4 * math.ceil(math.log2(N))
 
 

@@ -12,11 +12,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tropsolve as ts
-from tropsolve import MAX_PLUS, MIN_PLUS, TropicalError
+from tropsolve import MAX_PLUS, MIN_PLUS, TropicalError, tensor
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -133,10 +133,8 @@ def float_generators(draw):
     return sf, np.column_stack(cols)
 
 
-@PROPERTY_SETTINGS
-@given(float_generators())
-def test_reduction_keeps_what_pairwise_collinear_keeps(case):
-    sf, G = case
+def pairwise_kept(G, sf):
+    """The columns of ``G`` that survive a pairwise :func:`collinear` scan."""
     kept = []
     for j in range(G.shape[1]):
         col = G[:, j]
@@ -145,7 +143,72 @@ def test_reduction_keeps_what_pairwise_collinear_keeps(case):
         if any(ts.collinear(G[:, i], col, sf) is not None for i in kept):
             continue
         kept.append(j)
-    assert np.array_equal(ts.reduce_generators(G, sf), G[:, kept or [0]])
+    return G[:, kept or [0]]
+
+
+@PROPERTY_SETTINGS
+@given(float_generators())
+def test_reduction_keeps_what_pairwise_collinear_keeps(case):
+    sf, G = case
+    assert np.array_equal(ts.reduce_generators(G, sf), pairwise_kept(G, sf))
+
+
+@st.composite
+def scaled_matrices(draw, min_n, max_n):
+    """``lambda^-1 A`` for an n-by-n matrix ``A`` of ``k/7`` or ``k/10``, k in
+    [-40, 40], with some zero elements, and ``lambda`` its spectral radius."""
+    sf = draw(st.sampled_from([MAX_PLUS, MIN_PLUS]))
+    n = draw(st.integers(min_n, max_n))
+    den = draw(st.sampled_from([7, 10]))
+    cells = st.integers(-40, 40 + draw(st.integers(0, 20)))
+    k = np.array(draw(st.lists(cells, min_size=n * n, max_size=n * n))).reshape(n, n)
+    A = np.where(k > 40, sf.zero, k / den)
+    lam = ts.spectral_radius(A, sf)
+    assume(lam != sf.zero)
+    return sf, ts.scalar_mul(sf.inv(lam), A, sf)
+
+
+def horner(A, sf):
+    """``I (+) A (I (+) A (...))``, the bounded sum by n - 1 products."""
+    n = A.shape[0]
+    S = ts.identity_matrix(n, sf)
+    for _ in range(n - 1):
+        S = ts.mat_add(ts.identity_matrix(n, sf), ts.mat_mul(A, S, sf), sf)
+    return S
+
+
+@PROPERTY_SETTINGS
+@given(scaled_matrices(1, 7))
+def test_closure_reduction_keeps_what_pairwise_collinear_keeps(case):
+    # a closure (lambda^-1 A)* has a zero diagonal unless lambda was rounded
+    # up to an ulp-positive cycle, so this reaches the partner prefilter
+    sf, M = case
+    G = ts.kleene_star(M, sf)
+    assert np.array_equal(ts.reduce_generators(G, sf), pairwise_kept(G, sf))
+
+
+def fw_diagonal(M):
+    """Diagonal of the Floyd-Warshall closure of a max-plus matrix."""
+    S = M.copy()
+    for k in range(S.shape[0]):
+        S = np.maximum(S, S[:, k, None] + S[k])
+    return np.diagonal(S)
+
+
+@PROPERTY_SETTINGS
+@given(scaled_matrices(3, 3))
+def test_ulp_positive_closure_takes_the_doubling_star(case):
+    # n <= 3: each bounded-sum entry is one addition, so every evaluation
+    # order gives the same bits and the doubling star must equal Horner's
+    sf, M = case
+    assume((fw_diagonal(0.0 - M if sf is MIN_PLUS else M) > 0.0).any())
+    calls = []
+    inner = tensor._doubling_star
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "_doubling_star", lambda A: calls.append(A) or inner(A))
+        star = ts.kleene_star(M, sf)
+    assert len(calls) == 1
+    assert np.array_equal(star, horner(M, sf))
 
 
 # -- min-plus is max-plus read through x -> -x ---------------------------------

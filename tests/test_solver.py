@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tropsolve as ts
-from tropsolve import MAX_PLUS, DomainError, HypothesisError, ResourceError, ShapeError
+from tropsolve import MAX_PLUS, MIN_PLUS, DomainError, HypothesisError, ResourceError, ShapeError
 
 from helpers import (
     NEG_INF,
@@ -306,3 +306,10 @@ class TestIsSolution:
     def test_rejects_non_regular(self):
         with pytest.raises(DomainError):
             ts.is_solution(worked_instance(), 2.0, [NEG_INF, 0.0])
+
+    @pytest.mark.parametrize("sf", [MAX_PLUS, MIN_PLUS], ids=lambda sf: sf.name)
+    def test_rejects_a_theta_that_is_no_finite_scalar(self, sf):
+        instance = ts.ProblemInstance([[1, 2], [3, 0]], [[-1, -5], [-5, -1]], sf)
+        for theta in (float("nan"), -sf.zero, sf.zero):
+            with pytest.raises(DomainError):
+                ts.is_solution(instance, theta, [0, 1])

@@ -195,6 +195,26 @@ class TestKleeneStar:
             ts.kleene_star([[1e308] * 3] * 3)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("sf", [MAX_PLUS, MIN_PLUS], ids=lambda sf: sf.name)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b, sf: ts.mat_mul([[b]], [[b]], sf),
+        lambda b, sf: ts.mat_pow([[b]], 2, sf),
+        lambda b, sf: ts.mat_vec([[b]], [b], sf),
+        lambda b, sf: ts.scalar_mul(b, [[b]], sf),
+        lambda b, sf: ts.objective([[b, b], [b, b]], [b, -b], sf),
+    ],
+    ids=["mat_mul", "mat_pow", "mat_vec", "scalar_mul", "objective"],
+)
+def test_overflow_to_the_wrong_sign_infinity_is_a_domain_error(call, sf):
+    # b is far from the zero element, so b + b overflows away from it
+    b = -1e308 if sf.zero == float("inf") else 1e308
+    with pytest.raises(DomainError, match="overflow"):
+        call(b, sf)
+
+
 class TestTraceLaws:
     def test_trace_of_products_commutes(self):
         rng = np.random.default_rng(9)

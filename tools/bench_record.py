@@ -8,8 +8,12 @@ Each of the 20 runs is the unchanged benchmark command of BENCHMARK.json,
 ``python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0``,
 run one at a time from the repository root; about ten minutes in all.
 The last stdout line of each run (its result object) is written, with
-the workload and seed, to ``BENCH_6.json`` at the repository root, with
-the machine and source description of the first run's info line.
+the workload and seed, to ``OUT`` (``BENCH_8.json``) at the repository
+root, together with the environment of the first run's info line (the
+machine, the versions, the git commit and the source digest, without
+the seed).  Run it at the commit being measured, with no uncommitted
+change under ``src/``, so that the commit and the digest name the
+measured code, and raise the number in ``OUT`` for each new record.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "BENCH_6.json"
+OUT = ROOT / "BENCH_8.json"
 SEEDS = (1, 2, 3, 4, 5)
 
 
