@@ -185,8 +185,8 @@ def _cmd_spectral(args) -> _Report:
 
 
 def _cmd_theta(args) -> _Report:
-    instance = _load_pair(args)
-    theta = args.sf.format_scalar(compute_theta(instance.A, instance.B, args.sf))
+    A, B = _load_matrix(args.objective, args.sf), _load_matrix(args.constraint, args.sf)
+    theta = args.sf.format_scalar(compute_theta(A, B, args.sf))
     return 0, {"theta": theta}, [f"theta = {theta}"]
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from numbers import Integral
 
 import numpy as np
 
@@ -313,8 +314,16 @@ def sample_solution_family(
     Draws integer-valued regular ``u`` (integer so the feasibility and
     attainment checks are exact in float64), forms ``x = generators (x) u``
     and records a failure whenever ``B x <= x`` is violated, the objective
-    differs from ``cone.theta``, or ``x`` is not regular.
+    differs from ``cone.theta``, or ``x`` is not regular.  ``trials`` and
+    ``seed`` must be nonnegative integers and ``u_low <= u_high``, else
+    :class:`DomainError` is raised.
     """
+    if not all(isinstance(v, Integral) and v >= 0 for v in (trials, seed)):
+        raise DomainError(
+            f"trials and seed must be nonnegative integers, got {trials!r} and {seed!r}"
+        )
+    if u_low > u_high:
+        raise DomainError(f"empty range for the entries of u: [{u_low}, {u_high}]")
     sf = instance.semifield
     A, B = instance._pair
     rng = np.random.default_rng(seed)

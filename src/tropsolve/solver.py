@@ -234,9 +234,15 @@ def _cone(
     # the optimizers at minimum theta are (combined)* u over regular u
     closure = _star(combined)
     generators = _reduce(closure)
+    # the closure has a zero entry exactly when the combined matrix is
+    # reducible, and the reduction keeps a column of each zero pattern, so
+    # both warnings are read from the generators
     degenerate = bool((generators == -np.inf).any())
     if degenerate:
-        warnings.append("some generator columns are not regular; use regular u only")
+        warnings += [
+            "combined matrix theta**-1 A (+) B is reducible; completeness unverified",
+            "some generator columns are not regular; use regular u only",
+        ]
     return SolutionCone(
         theta=_flip(theta, sf),
         generators=_flip(generators, sf),
@@ -281,10 +287,6 @@ def solve_constrained(
         )
     theta = _theta(A, B, b_star, sf)
     combined = _combined(theta, A, B)
-    # theta is finite, so the combined digraph is the union of those of A
-    # and B, strongly connected as soon as one of them is
-    if not (irreducible_a or irreducible_b or _irreducible(combined)):
-        warnings.append("combined matrix theta**-1 A (+) B is reducible; completeness unverified")
     hypotheses = {
         "irreducible_A": irreducible_a,
         "irreducible_B": irreducible_b,

@@ -27,8 +27,11 @@ The bounded star is one Floyd-Warshall pass, ``O(n**3)`` time and
 ``O(n**2)`` memory, whenever no cycle weight exceeds the identity.  Every
 star the solver builds is such a matrix, unless a non-float ``theta``
 was rounded so that a cycle comes out one ulp above it.  A matrix with
-such a cycle (``Tr > 1``) falls back to the doubling star,
-``O(n**3 log n)``.  Generator reduction of a closure (zero diagonal)
+such a cycle (``Tr > 1``) falls back to the power ``(I (+) A)**(n-1)``,
+which equals the bounded star because ``(+)`` is idempotent.  That power
+and ``mat_pow`` share one kernel, ``_pow``, which squares along the bits
+of the exponent: at most ``2 log2 p`` products, ``O(n**3 log n)`` for
+the star.  Generator reduction of a closure (zero diagonal)
 tests only the columns that lie on a common zero-weight cycle with an
 earlier column, found in ``O(n**2)``.
 """
@@ -180,14 +183,33 @@ def mat_vec(A, x, sf: Semifield = MAX_PLUS) -> np.ndarray:
     return _flip(y, sf)
 
 
+def _pow(A: np.ndarray, p: int) -> np.ndarray:
+    # A**p by squaring along the bits of p from the top: at most 2 log2(p)
+    # products and O(n**2) memory.  Starting from A, not from the identity,
+    # keeps a +inf from an overflow away from the identity's -inf entries.
+    P = A if p else identity_matrix(A.shape[0])
+    for bit in bin(p)[3:]:
+        P = _mm(P, P)
+        if bit == "1":
+            P = _mm(P, A)
+    return P
+
+
 def mat_pow(A, p: int, sf: Semifield = MAX_PLUS) -> np.ndarray:
-    """``p``-th power of a square matrix; ``A ** 0`` is the identity."""
+    """``p``-th power of a square matrix; ``A ** 0`` is the identity.
+
+    ``p`` is a nonnegative integer (an integral float such as ``2.0`` is
+    accepted); anything else raises :class:`DomainError`.  The power is
+    built by repeated squaring, at most ``2 log2 p`` products.
+    """
     A = _image(A, sf, "square")
-    if p < 0 or p != int(p):
+    try:
+        k = int(p)
+    except (TypeError, ValueError, OverflowError):
+        k = -1
+    if k < 0 or k != p:
         raise DomainError(f"matrix power wants a nonnegative integer, got {p!r}")
-    P = identity_matrix(A.shape[0])
-    for _ in range(int(p)):
-        P = _mm(P, A)
+    P = _pow(A, k)
     # +inf from an overflow survives every later product (or turns into NaN)
     _check_entries(P)
     return _flip(P, sf)
@@ -218,34 +240,14 @@ def conjugate(x, sf: Semifield = MAX_PLUS) -> np.ndarray:
     return _flip(np.where(x == -np.inf, -np.inf, -x + 0.0), sf)
 
 
-def _doubling_star(A: np.ndarray) -> np.ndarray:
-    # S_t = I (+) A (+) ... (+) A**(t-1) with P = A**t, built along the bits
-    # of n from the top: S_2t = S_t (+) A**t S_t and S_(t+1) = S_t (+) A**t.
-    # At most three products per bit, and no power beyond A**(n-1).
-    n = A.shape[0]
-    S, P = identity_matrix(n), A
-    bits = bin(n)[3:]
-    for pos, bit in enumerate(bits):
-        last = pos == len(bits) - 1
-        S = np.maximum(S, _mm(P, S))
-        if bit == "1" or not last:
-            P = _mm(P, P)
-        if bit == "1":
-            S = np.maximum(S, P)
-            if not last:
-                P = _mm(P, A)
-    _check_entries(S)
-    return S
-
-
 def _star(A: np.ndarray) -> np.ndarray:
     # Floyd-Warshall: after step k, S[i, j] is the heaviest walk from i to j
     # whose inner nodes are among 0..k.  With no positive cycle (no diagonal
     # entry above 0) the heaviest walk is a simple path, so S with its
     # diagonal set to 0.0 is exactly the bounded star.  A positive cycle, or
-    # an overflow to +inf or NaN, takes the doubling star instead, which
-    # gives the bounded sum or raises DomainError.  (+ 0.0 copies A and
-    # turns -0.0 into 0.0.)
+    # an overflow to +inf or NaN, takes the power (I (+) A)**(n-1) instead,
+    # which is the bounded sum because (+) is idempotent, or raises
+    # DomainError.  (+ 0.0 copies A and turns -0.0 into 0.0.)
     S = A + 0.0
     term = np.empty_like(S)
     for k in range(S.shape[0]):
@@ -254,7 +256,9 @@ def _star(A: np.ndarray) -> np.ndarray:
     if (np.diagonal(S) <= 0.0).all() and (S < np.inf).all():
         np.fill_diagonal(S, 0.0)
         return S
-    return _doubling_star(A)
+    S = _pow(np.maximum(A + 0.0, identity_matrix(A.shape[0])), A.shape[0] - 1)
+    _check_entries(S)
+    return S
 
 
 def kleene_star(A, sf: Semifield = MAX_PLUS) -> np.ndarray:
@@ -263,11 +267,12 @@ def kleene_star(A, sf: Semifield = MAX_PLUS) -> np.ndarray:
     When every cycle weight is at most the identity (``Tr(A) <= 1``) the
     star is one Floyd-Warshall pass, ``O(n**3)`` time and ``O(n**2)``
     memory, and it generates all regular solutions of ``A x <= x``.
-    Otherwise it is built by binary expansion of n, with at most three
-    products per bit of n (``O(n**3 log n)``), and is still exactly the
-    bounded sum.  On non-integer data the two orders of summation can
-    differ in the last bits.  A path weight that overflows to the
-    wrong-sign infinity raises :class:`DomainError`.
+    Otherwise it is the power ``(I (+) A)**(n-1)``, equal to the bounded
+    sum because ``(+)`` is idempotent, built by repeated squaring with at
+    most ``2 log2 n`` products (``O(n**3 log n)``).  On non-integer data
+    the two orders of summation can differ in the last bits.  A path
+    weight that overflows to the wrong-sign infinity raises
+    :class:`DomainError`.
     """
     return _flip(_star(_image(A, sf, "square")), sf)
 

@@ -328,6 +328,14 @@ class TestVerify:
         assert doc["family"]["passed"] is True
         assert doc["family"]["trials"] == 64
 
+    @pytest.mark.parametrize("option", [["--seed", "-1"], ["--trials", "-2"]])
+    def test_bad_family_options_exit_two(self, matrix_files, capsys, option):
+        code = main(["verify", "-A", matrix_files["a.mat"], "-B", matrix_files["b.mat"], *option])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_verify_is_byte_stable(self, matrix_files, capsys):
         args = ["verify", "-A", matrix_files["a.mat"], "-B", matrix_files["b.mat"],
                 "--trials", "16", "--seed", "3"]

@@ -32,11 +32,20 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def with_self_loop(A):
+    """``A`` with a positive self-loop, so ``Tr(A) > 1``."""
+    A = A.copy()
+    A[0, 0] = 1.0
+    return A
+
+
 @pytest.mark.parametrize(
     "name, call",
     [
         ("mat_mul", lambda A: ts.mat_mul(A, A)),
         ("kleene_star", ts.kleene_star),
+        ("kleene_star_tr_above_one", lambda A: ts.kleene_star(with_self_loop(A))),
+        ("mat_pow", lambda A: ts.mat_pow(A, 5)),
         ("spectral_radius", ts.spectral_radius),
     ],
 )
@@ -67,11 +76,16 @@ def test_feasible_star_takes_no_product(big, products):
 
 
 def test_star_takes_logarithmically_many_products(big, products):
-    # a positive self-loop makes Tr > 1, where the doubling star runs
-    infeasible = big.copy()
-    infeasible[0, 0] = 1.0
-    ts.kleene_star(infeasible)
+    # Tr > 1, where the star is the power (I (+) A)**(n-1) by squaring
+    ts.kleene_star(with_self_loop(big))
     assert 0 < len(products) <= 4 * math.ceil(math.log2(N))
+
+
+def test_huge_power_takes_logarithmically_many_products(products):
+    # entries <= 0: no overflow, and a p-product loop would never finish
+    A = rand_matrix(np.random.default_rng(62), 3, lo=-9, hi=0)
+    ts.mat_pow(A, 10**18)
+    assert 0 < len(products) <= 120
 
 
 def test_spectral_radius_takes_no_product(big, products):

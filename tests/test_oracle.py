@@ -157,6 +157,18 @@ class TestSampleSolutionFamily:
         report = ts.sample_solution_family(instance, cone, trials=0, seed=0)
         assert report.passed and report.failures == ()
 
+    @pytest.mark.parametrize(
+        "kw",
+        [{"seed": -1}, {"trials": -2}, {"trials": 2.5}, {"trials": None},
+         {"u_low": 1, "u_high": 0}],
+        ids=["negative_seed", "negative_trials", "float_trials", "no_trials", "empty_u_range"],
+    )
+    def test_bad_arguments_are_domain_errors(self, kw):
+        instance = worked_instance()
+        cone = ts.solve_constrained(instance)
+        with pytest.raises(DomainError):
+            ts.sample_solution_family(instance, cone, **{"trials": 4, "seed": 0, **kw})
+
     def test_corrupted_cone_is_reported(self):
         instance = worked_instance()
         cone = ts.solve_constrained(instance)

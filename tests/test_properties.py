@@ -199,15 +199,16 @@ def fw_diagonal(M):
 @given(scaled_matrices(3, 3))
 def test_ulp_positive_closure_takes_the_doubling_star(case):
     # n <= 3: each bounded-sum entry is one addition, so every evaluation
-    # order gives the same bits and the doubling star must equal Horner's
+    # order gives the same bits and the fallback (I (+) A)**(n-1), built by
+    # squaring, must equal Horner's
     sf, M = case
     assume((fw_diagonal(0.0 - M if sf is MIN_PLUS else M) > 0.0).any())
     calls = []
-    inner = tensor._doubling_star
+    inner = tensor._pow
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tensor, "_doubling_star", lambda A: calls.append(A) or inner(A))
+        mp.setattr(tensor, "_pow", lambda A, p: calls.append(p) or inner(A, p))
         star = ts.kleene_star(M, sf)
-    assert len(calls) == 1
+    assert calls == [M.shape[0] - 1]
     assert np.array_equal(star, horner(M, sf))
 
 

@@ -107,6 +107,29 @@ class TestArithmetic:
         # B is idempotent under the semiring product (checked by hand)
         assert np.array_equal(ts.mat_pow(B2, 2), ts.as_matrix(B2))
 
+    @pytest.mark.parametrize("sf", [MAX_PLUS, MIN_PLUS], ids=lambda sf: sf.name)
+    def test_mat_pow_is_a_chain_of_products(self, sf):
+        # squaring against the definition: p products by mat_mul, one by one
+        rng = np.random.default_rng(13)
+        for n in (1, 3, 6):
+            A = rand_matrix(rng, n)
+            A[A == NEG_INF] = sf.zero
+            chain = ts.identity_matrix(n, sf)
+            for p in range(71):
+                assert np.array_equal(ts.mat_pow(A, p, sf), chain), (n, p)
+                chain = ts.mat_mul(chain, A, sf)
+
+    @pytest.mark.parametrize("p", [2, np.int64(2), 2.0, np.float64(2.0), True])
+    def test_mat_pow_accepts_integral_exponents(self, p):
+        assert np.array_equal(ts.mat_pow(A2, p), ts.mat_pow(A2, int(p)))
+
+    @pytest.mark.parametrize(
+        "p", [-1, 2.5, float("inf"), float("nan"), "2", None], ids=repr
+    )
+    def test_mat_pow_rejects_other_exponents(self, p):
+        with pytest.raises(DomainError, match="nonnegative integer"):
+            ts.mat_pow(A2, p)
+
     def test_scalar_mul_units(self):
         A = ts.as_matrix(A2)
         assert np.array_equal(ts.scalar_mul(MAX_PLUS.one, A), A)
@@ -179,8 +202,9 @@ class TestKleeneStar:
         assert S[2, 1] == 6.0  # 2 -> 0 -> 1
 
     def test_large_star_is_the_bounded_power_sum(self):
-        # n = 70 takes the product's loop and every branch of the binary
-        # expansion (70 = 0b1000110); positive cycles make Tr(A) > 1
+        # n = 70 takes the product's loop, and the power (I (+) A)**69 takes
+        # both branches of squaring (69 = 0b1000101); positive cycles make
+        # Tr(A) > 1
         rng = np.random.default_rng(12)
         A = rand_matrix(rng, 70, zero_density=0.9)
         horner = ts.identity_matrix(70)
