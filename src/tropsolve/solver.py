@@ -25,15 +25,21 @@ feasibility function ``Tr``, the bounded Kleene star, and the spectral
 radius (which is the unconstrained minimum).  Both stars of a solve,
 ``B*`` and the closure, have no cycle above the identity, so each is one
 Floyd-Warshall pass; with Karp's ``O(n**3)`` radius and one product, a
-solve is ``O(n**3)`` time and ``O(n**2)`` memory.  An n-by-n matrix is
+solve is ``O(n**3)`` time and ``O(n**2)`` memory.  The hypotheses are
+evaluated in one place for :func:`check_hypotheses` and
+:func:`solve_constrained`.  The irreducibility of ``A`` is a
+breadth-first search of its zero pattern.  An n-by-n matrix is
 irreducible exactly when its bounded star has no zero entry, so the
-irreducibility of ``B`` is read from ``B*``.  Public functions validate
-their inputs once and then call the private kernels of the tensor and
-spectral layers on the trusted arrays.  Those kernels are max-plus only:
-a ``MIN_PLUS`` problem is negated once where it is validated (a
-:class:`ProblemInstance` maps its pair once) and every result is negated
-back once, which gives bitwise the min-plus answer (see
-:mod:`tropsolve.tensor`).
+irreducibility of ``B`` is read from ``B*``, and ``Tr(B)`` from the same
+star.  The spectral radius of ``A`` is nonzero exactly when the digraph
+of ``A`` has a cycle, which an irreducible ``A`` on two or more nodes
+has; otherwise it is read from the zero pattern of ``A``, with no weight
+of ``A`` summed.  Public functions validate their inputs once and then
+call the private kernels of the tensor and spectral layers on the
+trusted arrays.  Those kernels are max-plus only: a ``MIN_PLUS`` problem
+is negated once where it is validated (a :class:`ProblemInstance` maps
+its pair once) and every result is negated back once, which gives
+bitwise the min-plus answer (see :mod:`tropsolve.tensor`).
 """
 
 from __future__ import annotations
@@ -213,19 +219,35 @@ def compute_theta(A, B, sf: Semifield = MAX_PLUS) -> float:
     return _flip(_theta(A, B, _star(B), sf), sf)
 
 
+def _hypotheses(A: np.ndarray, B: np.ndarray, b_star: np.ndarray) -> dict[str, bool]:
+    # lambda(A) is the zero element iff the digraph of A has no cycle; an
+    # irreducible A on two or more nodes has one, and any other A is searched
+    # for one on its 0/-inf pattern, so that no weight of A is summed
+    irreducible_a = _irreducible(A)
+    return {
+        "irreducible_A": irreducible_a,
+        "irreducible_B": _strongly_connected(b_star),
+        "spectral_radius_positive": (irreducible_a and A.shape[0] > 1)
+        or _karp(np.where(A == -np.inf, -np.inf, 0.0)) == 0.0,
+        "constraint_feasible": _tr(B, b_star) <= 0.0,
+    }
+
+
 def check_hypotheses(A, B, sf: Semifield = MAX_PLUS) -> dict[str, bool]:
     """Evaluate the hypotheses under which the closed form is complete.
 
-    :func:`solve_constrained` records the same dictionary on its cone.
+    The irreducibility of ``A`` is read from its zero pattern by
+    breadth-first search, that of ``B`` from ``B*`` (no zero entry), and
+    ``Tr(B) <= 1`` from the same star as ``tr(B B*)``.  The spectral
+    radius of ``A`` is nonzero exactly when the digraph of ``A`` has a
+    cycle: always for an irreducible ``A`` on two or more nodes, and
+    otherwise read from the zero pattern of ``A``, so no weight of ``A``
+    is summed and none can overflow or underflow here.
+    :func:`solve_constrained` evaluates the same dictionary and records
+    it on its cone.
     """
     A, B = ProblemInstance(A, B, sf)._pair
-    b_star = _star(B)
-    return {
-        "irreducible_A": _irreducible(A),
-        "irreducible_B": _strongly_connected(b_star),
-        "spectral_radius_positive": _karp(A) != -np.inf,
-        "constraint_feasible": _tr(B, b_star) <= 0.0,
-    }
+    return _hypotheses(A, B, _star(B))
 
 
 def _cone(
@@ -269,31 +291,25 @@ def solve_constrained(
     Returns the minimum ``theta``, the closure ``(theta**-1 A (+) B)*``,
     and its columns with collinear duplicates removed; every ``x =
     generators (x) u`` with regular ``u`` is feasible and attains
-    ``theta``.  Each hypothesis is evaluated once and recorded on the
-    cone's ``hypotheses``.
+    ``theta``.  The hypotheses are evaluated as in
+    :func:`check_hypotheses`, and that record is the cone's
+    ``hypotheses``.
     """
     (A, B), sf = instance._pair, instance.semifield
-    warnings: list[str] = []
     b_star = _star(B)
-    irreducible_a, irreducible_b = _irreducible(A), _strongly_connected(b_star)
-    if not (irreducible_a or irreducible_b):
+    hypotheses = _hypotheses(A, B, b_star)
+    warnings: list[str] = []
+    if not (hypotheses["irreducible_A"] or hypotheses["irreducible_B"]):
         if not override_irreducibility:
             raise HypothesisError("neither A nor B irreducible", hypothesis="irreducibility")
         warnings.append("completeness unverified: neither A nor B is irreducible")
-    if _karp(A) == -np.inf:
+    if not hypotheses["spectral_radius_positive"]:
         raise HypothesisError(
             f"spectral radius of A is {sf.format_scalar(sf.zero)}",
             hypothesis="spectral radius",
         )
     theta = _theta(A, B, b_star, sf)
-    combined = _combined(theta, A, B)
-    hypotheses = {
-        "irreducible_A": irreducible_a,
-        "irreducible_B": irreducible_b,
-        "spectral_radius_positive": True,
-        "constraint_feasible": True,
-    }
-    return _cone(theta, combined, sf, warnings, hypotheses)
+    return _cone(theta, _combined(theta, A, B), sf, warnings, hypotheses)
 
 
 def solve_unconstrained(A, sf: Semifield = MAX_PLUS) -> SolutionCone:

@@ -247,12 +247,14 @@ def _star(A: np.ndarray) -> np.ndarray:
     # diagonal set to 0.0 is exactly the bounded star.  A positive cycle, or
     # an overflow to +inf or NaN, takes the power (I (+) A)**(n-1) instead,
     # which is the bounded sum because (+) is idempotent, or raises
-    # DomainError.  (+ 0.0 copies A and turns -0.0 into 0.0.)
+    # DomainError.  (+ 0.0 copies A and turns -0.0 into 0.0.)  An overflow
+    # here only selects the power, so numpy is not asked to warn of it.
     S = A + 0.0
     term = np.empty_like(S)
-    for k in range(S.shape[0]):
-        np.add(S[:, k, None], S[k], out=term)
-        np.maximum(S, term, out=S)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(S.shape[0]):
+            np.add(S[:, k, None], S[k], out=term)
+            np.maximum(S, term, out=S)
     if (np.diagonal(S) <= 0.0).all() and (S < np.inf).all():
         np.fill_diagonal(S, 0.0)
         return S

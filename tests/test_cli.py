@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 import tropsolve as ts
 from tropsolve import MAX_PLUS, MIN_PLUS, DomainError, ParseError
 from tropsolve.cli import format_matrix, main, parse_matrix
+from tropsolve.oracle import grid_min
 
 from helpers import NEG_INF, rand_matrix
 
@@ -111,9 +116,10 @@ class TestGoldenRuns:
         assert captured.err == ""
 
     def test_solve_evaluates_each_hypothesis_once(self, matrix_files, capsys, monkeypatch):
-        # irreducibility of A (that of B is read from B*), lambda(A) and
-        # lambda(A B*), and the stars B* and (theta^-1 A (+) B)*: nothing is
-        # recomputed for the report
+        # irreducibility of A (that of B is read from B*, and an irreducible
+        # A on two nodes has a cycle, so lambda(A) is not needed), lambda(A B*),
+        # and the stars B* and (theta^-1 A (+) B)*: nothing is recomputed for
+        # the report
         calls = []
 
         def counted(name, inner):
@@ -127,7 +133,7 @@ class TestGoldenRuns:
             monkeypatch.setattr(ts.solver, name, counted(name, getattr(ts.solver, name)))
         main(["solve", "-A", matrix_files["a.mat"], "-B", matrix_files["b.mat"], "--format", "json"])
         assert capsys.readouterr().out == self.SOLVE_JSON
-        assert sorted(calls) == ["_irreducible"] + ["_karp"] * 2 + ["_star"] * 2
+        assert sorted(calls) == ["_irreducible", "_karp"] + ["_star"] * 2
 
     def test_inequality_golden(self, matrix_files, capsys):
         code = main(["inequality", "-A", matrix_files["binf.mat"], "--format", "json"])
@@ -336,6 +342,22 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_bad_seed_never_reaches_the_grid(self, matrix_files, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return grid_min(*args)
+
+        monkeypatch.setattr(ts.cli, "grid_min", counted)
+        files = ["-A", matrix_files["a.mat"], "-B", matrix_files["b.mat"]]
+        assert main(["verify", *files, "--seed", "-1"]) == 2
+        assert main(["verify", *files, "--trials", "-2"]) == 2
+        assert calls == []
+        assert main(["verify", *files, "--trials", "4"]) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+
     def test_verify_is_byte_stable(self, matrix_files, capsys):
         args = ["verify", "-A", matrix_files["a.mat"], "-B", matrix_files["b.mat"],
                 "--trials", "16", "--seed", "3"]
@@ -356,6 +378,26 @@ class TestErrorChannels:
         assert code == 1
         assert captured.out == ""  # no diagnostics on stdout in json mode
         assert "constraint feasibility" in captured.err
+
+    def test_overflow_prints_no_numpy_warning(self, tmp_path):
+        # a fresh process, since numpy warns only once per source line
+        big = tmp_path / "big.mat"
+        big.write_text("2 2\n1e308 1e308\n1e308 1e308\n")
+        b = tmp_path / "b.mat"
+        b.write_text(B_TEXT)
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "tropsolve", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        star = run("star", "-A", str(big))
+        assert (star.returncode, star.stderr) == (0, "")
+        theta = run("theta", "-A", str(big), "-B", str(b))
+        assert theta.returncode == 2
+        assert theta.stderr.startswith("error: ") and theta.stderr.count("\n") == 1
 
     def test_parse_error_exits_two(self, tmp_path, capsys):
         p = tmp_path / "broken.mat"

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tropsolve as ts
@@ -80,6 +80,47 @@ def power_traces(A, sf):
 def test_spectral_radius_is_the_best_cycle_mean(case):
     sf, A, _ = case
     assert ts.spectral_radius(A, sf) == ts.cycle_mean_oracle(A, sf)
+
+
+@st.composite
+def objective_patterns(draw):
+    """An integer pair with n <= 7 whose ``A`` is drawn as ``matrices``
+    draws it (often reducible), strictly triangular up to a relabelling of
+    the nodes (nilpotent), or all zero."""
+    n = draw(st.integers(1, 7))
+    A = draw(matrices(MAX_PLUS, n))
+    pattern = draw(st.sampled_from(["drawn", "nilpotent", "zero"]))
+    if pattern == "nilpotent":
+        A[np.tril_indices(n)] = MAX_PLUS.zero
+        order = draw(st.permutations(range(n)))
+        A = A[np.ix_(order, order)]
+    elif pattern == "zero":
+        A[:] = MAX_PLUS.zero
+    return A, draw(matrices(MAX_PLUS, n))
+
+
+@PROPERTY_SETTINGS
+@given(objective_patterns())
+@example((np.array([[-np.inf]]), np.array([[0.0]])))
+@example((np.array([[-3.0]]), np.array([[-np.inf]])))
+def test_spectral_radius_hypothesis_is_read_from_the_zero_pattern(case):
+    A, B = case
+    has_cycle = ts.cycle_mean_oracle(A) != -np.inf
+    assert ts.check_hypotheses(A, B)["spectral_radius_positive"] == has_cycle
+
+
+@PROPERTY_SETTINGS
+@given(instances(max_n=7))
+def test_forced_solve_records_what_check_hypotheses_returns(case):
+    sf, A, B = case
+    B = feasible(B, sf)
+    try:
+        cone = ts.solve_constrained(ts.ProblemInstance(A, B, sf), override_irreducibility=True)
+    except TropicalError:
+        return
+    # equal entries in the same order
+    expected = ts.check_hypotheses(A, B, sf)
+    assert list(cone.hypotheses.items()) == list(expected.items())
 
 
 @PROPERTY_SETTINGS

@@ -186,6 +186,19 @@ class TestSolveConstrained:
         assert cone.hypotheses == ts.check_hypotheses(A, B)
         assert not (cone.hypotheses["irreducible_A"] or cone.hypotheses["irreducible_B"])
 
+    def test_underflowing_cycle_still_has_a_nonzero_spectral_radius(self):
+        # the 2-cycle weighs -2e308, which rounds to -inf in a sum of weights;
+        # the hypothesis is read from the zero pattern, which has the cycle
+        A = ts.as_matrix([[NEG_INF, -1e308], [-1e308, NEG_INF]])
+        assert ts.check_hypotheses(A, B2)["spectral_radius_positive"]
+        try:
+            # lambda(A B*) still underflows in Karp's table; that is no
+            # hypothesis of the closed form
+            with np.errstate(over="ignore", invalid="ignore"):
+                ts.solve_constrained(ts.ProblemInstance(A, B2))
+        except DomainError:
+            pass
+
     @pytest.mark.parametrize(
         "pair_function",
         [

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,15 @@ class TestKleeneStar:
             horner = np.maximum(ts.identity_matrix(70), ts.mat_mul(A, horner))
         assert ts.big_tr(A) > 0
         assert np.array_equal(ts.kleene_star(A), horner)
+
+    def test_an_overflow_that_selects_the_power_warns_of_nothing(self):
+        # 1e308 + 1e308 overflows in the Floyd-Warshall pass, which only
+        # selects the power (I (+) A)**1, and that power is finite
+        big = [[1e308] * 2] * 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S = ts.kleene_star(big)
+        assert np.array_equal(S, np.maximum(ts.identity_matrix(2), big))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_is_a_domain_error(self):
