@@ -182,9 +182,9 @@ def solve_linear_inequality(A, sf: Semifield = MAX_PLUS) -> InequalitySolution:
     return InequalitySolution(verdict=verdict, generators=_flip(star, sf), warnings=warnings)
 
 
-def _theta(A: np.ndarray, B: np.ndarray, b_star: np.ndarray, sf: Semifield) -> float:
-    # one star of B gives both Tr(B) = tr(B B*) and theta = lambda(A B*)
-    tr_b = _tr(B, b_star)
+def _theta(A: np.ndarray, b_star: np.ndarray, tr_b: float, sf: Semifield) -> float:
+    # one star of B gives both Tr(B) = tr(B B*), read once by the caller as
+    # tr_b, and theta = lambda(A B*)
     if tr_b > 0.0:
         raise HypothesisError(
             f"Tr(B) = {sf.format_scalar(_flip(tr_b, sf))} exceeds the identity: "
@@ -216,10 +216,11 @@ def compute_theta(A, B, sf: Semifield = MAX_PLUS) -> float:
     evaluates directly.
     """
     A, B = ProblemInstance(A, B, sf)._pair
-    return _flip(_theta(A, B, _star(B), sf), sf)
+    b_star = _star(B)
+    return _flip(_theta(A, b_star, _tr(B, b_star), sf), sf)
 
 
-def _hypotheses(A: np.ndarray, B: np.ndarray, b_star: np.ndarray) -> dict[str, bool]:
+def _hypotheses(A: np.ndarray, b_star: np.ndarray, tr_b: float) -> dict[str, bool]:
     # lambda(A) is the zero element iff the digraph of A has no cycle; an
     # irreducible A on two or more nodes has one, and any other A is searched
     # for one on its 0/-inf pattern, so that no weight of A is summed
@@ -229,7 +230,7 @@ def _hypotheses(A: np.ndarray, B: np.ndarray, b_star: np.ndarray) -> dict[str, b
         "irreducible_B": _strongly_connected(b_star),
         "spectral_radius_positive": (irreducible_a and A.shape[0] > 1)
         or _karp(np.where(A == -np.inf, -np.inf, 0.0)) == 0.0,
-        "constraint_feasible": _tr(B, b_star) <= 0.0,
+        "constraint_feasible": tr_b <= 0.0,
     }
 
 
@@ -247,7 +248,8 @@ def check_hypotheses(A, B, sf: Semifield = MAX_PLUS) -> dict[str, bool]:
     it on its cone.
     """
     A, B = ProblemInstance(A, B, sf)._pair
-    return _hypotheses(A, B, _star(B))
+    b_star = _star(B)
+    return _hypotheses(A, b_star, _tr(B, b_star))
 
 
 def _cone(
@@ -297,7 +299,8 @@ def solve_constrained(
     """
     (A, B), sf = instance._pair, instance.semifield
     b_star = _star(B)
-    hypotheses = _hypotheses(A, B, b_star)
+    tr_b = _tr(B, b_star)
+    hypotheses = _hypotheses(A, b_star, tr_b)
     warnings: list[str] = []
     if not (hypotheses["irreducible_A"] or hypotheses["irreducible_B"]):
         if not override_irreducibility:
@@ -308,7 +311,7 @@ def solve_constrained(
             f"spectral radius of A is {sf.format_scalar(sf.zero)}",
             hypothesis="spectral radius",
         )
-    theta = _theta(A, B, b_star, sf)
+    theta = _theta(A, b_star, tr_b, sf)
     return _cone(theta, _combined(theta, A, B), sf, warnings, hypotheses)
 
 

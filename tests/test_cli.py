@@ -135,6 +135,21 @@ class TestGoldenRuns:
         assert capsys.readouterr().out == self.SOLVE_JSON
         assert sorted(calls) == ["_irreducible", "_karp"] + ["_star"] * 2
 
+    def test_solve_reads_tr_b_once(self, matrix_files, capsys, monkeypatch):
+        # Tr(B) = tr(B B*) gives both the constraint_feasible hypothesis and
+        # the feasibility check before theta; one solve reads it once
+        calls = []
+        inner = ts.solver._tr
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(ts.solver, "_tr", counted)
+        main(["solve", "-A", matrix_files["a.mat"], "-B", matrix_files["b.mat"], "--format", "json"])
+        assert capsys.readouterr().out == self.SOLVE_JSON
+        assert len(calls) == 1
+
     def test_inequality_golden(self, matrix_files, capsys):
         code = main(["inequality", "-A", matrix_files["binf.mat"], "--format", "json"])
         captured = capsys.readouterr()

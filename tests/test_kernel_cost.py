@@ -20,6 +20,17 @@ def big():
     return rand_matrix(np.random.default_rng(61), N, lo=-9, hi=0, zero_density=0.3)
 
 
+@pytest.fixture(scope="module")
+def one_cycle_closure():
+    # the closure of one zero-weight cycle through all n nodes: every column
+    # is a multiple of every other, so the n columns form one class
+    w = np.random.default_rng(63).integers(-9, 10, size=N).astype(np.float64)
+    w[-1] -= w.sum()
+    A = np.full((N, N), -np.inf)
+    A[np.arange(N), (np.arange(N) + 1) % N] = w
+    return ts.kleene_star(A)
+
+
 def traced_peak(fn, *args) -> int:
     """Bytes allocated by ``fn(*args)`` at its peak, above what was live before."""
     tracemalloc.start()
@@ -47,11 +58,17 @@ def with_self_loop(A):
         ("kleene_star_tr_above_one", lambda A: ts.kleene_star(with_self_loop(A))),
         ("mat_pow", lambda A: ts.mat_pow(A, 5)),
         ("spectral_radius", ts.spectral_radius),
+        ("reduce_generators", lambda A: ts.reduce_generators(ts.kleene_star(A))),
     ],
 )
 def test_working_memory_is_quadratic(big, name, call):
     # sixteen n-by-n float64 matrices; one (n, n, n) temporary would be 128 MiB
     assert traced_peak(call, big) < 16 * N * N * 8, name
+
+
+def test_one_zero_weight_cycle_reduces_to_one_column(one_cycle_closure):
+    assert ts.reduce_generators(one_cycle_closure).shape == (N, 1)
+    assert traced_peak(ts.reduce_generators, one_cycle_closure) < 16 * N * N * 8
 
 
 @pytest.fixture

@@ -3,8 +3,10 @@
 Instances are integer valued with n <= 8, in max-plus and min-plus, so
 every sum is exact and the comparisons are bitwise.  Generator reduction
 is also checked on non-integer data, where only identical arithmetic
-gives identical answers, and every public function is checked to answer
-in min-plus exactly as in max-plus on the negated data.
+gives identical answers, and on closures up to n = 24 and inputs of up
+to 30 columns, where classes of collinear columns are large.  Every
+public function is checked to answer in min-plus exactly as in max-plus
+on the negated data.
 """
 
 import dataclasses
@@ -156,17 +158,18 @@ def test_big_tr_is_the_sum_of_power_traces(case):
 
 
 @st.composite
-def float_generators(draw):
-    """Columns ``c (x) x`` over a few non-integer base columns ``x``, some
-    with an entry set to zero, so that some columns are collinear in
-    floating point and some only nearly so."""
+def float_generators(draw, max_n=6, max_cols=10):
+    """Up to ``max_cols`` columns ``c (x) x`` over a few non-integer base
+    columns ``x`` of length at most ``max_n``, some with an entry set to
+    zero, so that some columns are collinear in floating point and some
+    only nearly so."""
     sf = draw(st.sampled_from([MAX_PLUS, MIN_PLUS]))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_n))
     entries = st.integers(-40, 40).map(lambda k: k / 7)
     bases = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=3))
     shifts = st.sampled_from([0.0, 0.1, 1 / 3, -2.5, 0.7, 1e-9])
     cols = []
-    for _ in range(draw(st.integers(1, 10))):
+    for _ in range(draw(st.integers(1, max_cols))):
         col = draw(shifts) + np.array(draw(st.sampled_from(bases)))
         for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
             col[i] = sf.zero
@@ -194,16 +197,29 @@ def test_reduction_keeps_what_pairwise_collinear_keeps(case):
     assert np.array_equal(ts.reduce_generators(G, sf), pairwise_kept(G, sf))
 
 
+@PROPERTY_SETTINGS
+@given(float_generators(max_n=8, max_cols=30))
+def test_reduction_of_many_columns_keeps_what_pairwise_collinear_keeps(case):
+    # with up to 30 columns over at most three bases, one leader drops many
+    # shifted copies of its base in one pass
+    sf, G = case
+    assert np.array_equal(ts.reduce_generators(G, sf), pairwise_kept(G, sf))
+
+
 @st.composite
-def scaled_matrices(draw, min_n, max_n):
-    """``lambda^-1 A`` for an n-by-n matrix ``A`` of ``k/7`` or ``k/10``, k in
-    [-40, 40], with some zero elements, and ``lambda`` its spectral radius."""
+def scaled_matrices(draw, min_n, max_n, dens=(7, 10), spreads=(40,)):
+    """``lambda^-1 A`` for an n-by-n matrix ``A`` of ``k/den``, den in
+    ``dens``, k in [-s, s] for a spread s in ``spreads``, with some zero
+    elements, and ``lambda`` its spectral radius.  A narrow spread ties
+    many cycles at ``lambda``, which makes large classes of collinear
+    columns in the closure."""
     sf = draw(st.sampled_from([MAX_PLUS, MIN_PLUS]))
     n = draw(st.integers(min_n, max_n))
-    den = draw(st.sampled_from([7, 10]))
-    cells = st.integers(-40, 40 + draw(st.integers(0, 20)))
+    den = draw(st.sampled_from(dens))
+    s = draw(st.sampled_from(spreads))
+    cells = st.integers(-s, s + draw(st.integers(0, s // 2)))
     k = np.array(draw(st.lists(cells, min_size=n * n, max_size=n * n))).reshape(n, n)
-    A = np.where(k > 40, sf.zero, k / den)
+    A = np.where(k > s, sf.zero, k / den)
     lam = ts.spectral_radius(A, sf)
     assume(lam != sf.zero)
     return sf, ts.scalar_mul(sf.inv(lam), A, sf)
@@ -223,6 +239,16 @@ def horner(A, sf):
 def test_closure_reduction_keeps_what_pairwise_collinear_keeps(case):
     # a closure (lambda^-1 A)* has a zero diagonal unless lambda was rounded
     # up to an ulp-positive cycle, so this reaches the partner prefilter
+    sf, M = case
+    G = ts.kleene_star(M, sf)
+    assert np.array_equal(ts.reduce_generators(G, sf), pairwise_kept(G, sf))
+
+
+@PROPERTY_SETTINGS
+@given(scaled_matrices(8, 24, dens=(1, 7), spreads=(1, 3, 40)))
+def test_large_closure_reduction_keeps_what_pairwise_collinear_keeps(case):
+    # integer and k/7 closures up to n = 24, where one leader drops a whole
+    # class of partners in one pass
     sf, M = case
     G = ts.kleene_star(M, sf)
     assert np.array_equal(ts.reduce_generators(G, sf), pairwise_kept(G, sf))

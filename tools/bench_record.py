@@ -8,7 +8,7 @@ Each of the 20 runs is the unchanged benchmark command of BENCHMARK.json,
 ``python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0``,
 run one at a time from the repository root; about ten minutes in all.
 The last stdout line of each run (its result object) is written, with
-the workload and seed, to ``OUT`` (``BENCH_10.json``) at the repository
+the workload and seed, to ``OUT`` (``BENCH_11.json``) at the repository
 root, together with the environment of the first run's info line (the
 machine, the versions, the git commit and the source digest, without
 the seed).  Run it at the commit being measured, with no uncommitted
@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "BENCH_10.json"
+OUT = ROOT / "BENCH_11.json"
 SEEDS = (1, 2, 3, 4, 5)
 
 
