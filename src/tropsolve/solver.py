@@ -36,7 +36,15 @@ of ``A`` has a cycle, which an irreducible ``A`` on two or more nodes
 has; otherwise it is read from the zero pattern of ``A``, with no weight
 of ``A`` summed.  Public functions validate their inputs once and then
 call the private kernels of the tensor and spectral layers on the
-trusted arrays.  Those kernels are max-plus only: a ``MIN_PLUS`` problem
+trusted arrays.  Validation includes the range guard of
+:mod:`tropsolve.tensor`: a :class:`ProblemInstance` bounds ``A`` and
+``B`` alike, ``solve_unconstrained`` and ``solve_linear_inequality``
+their matrix, by ``|entry| <= 2**1000 / n**2``, and :func:`is_solution`
+bounds ``|theta| <= 2**1000``.  Every sum a solve forms is a walk weight
+of at most ``n**2`` edges, so none can leave the float range and no
+kernel result is checked after the fact; only :func:`objective`, whose
+contract allows any data, checks its value.  Those kernels are max-plus
+only: a ``MIN_PLUS`` problem
 is negated once where it is validated (a :class:`ProblemInstance` maps
 its pair once) and every result is negated back once, which gives
 bitwise the min-plus answer (see :mod:`tropsolve.tensor`).
@@ -51,7 +59,7 @@ import numpy as np
 from .errors import DomainError, HypothesisError, ShapeError
 from .semiring import MAX_PLUS, Semifield
 from .spectral import _irreducible, _karp, _tr
-from .tensor import _check_entries, _flip, _image, _mm, _mv, _reduce, _star
+from .tensor import _check_entries, _flip, _image, _in_range, _mm, _mv, _reduce, _star
 
 __all__ = [
     "ProblemInstance",
@@ -72,7 +80,8 @@ class ProblemInstance:
     """A pair of equal-size square matrices: objective ``A``, constraint ``B``.
 
     ``A`` and ``B`` are validated copies in the instance's semifield; the
-    solver reads their max-plus image, formed once here.
+    solver reads their max-plus image, formed once here.  A finite entry
+    of either with ``|x| > 2**1000 / n**2`` raises :class:`DomainError`.
     """
 
     A: np.ndarray
@@ -86,7 +95,7 @@ class ProblemInstance:
             raise ShapeError(f"objective matrix must be square, got {A.shape}")
         if B.shape != A.shape:
             raise ShapeError(f"constraint matrix shape {B.shape} does not match {A.shape}")
-        object.__setattr__(self, "_pair", (A, B))
+        object.__setattr__(self, "_pair", (_in_range(A, len(A)), _in_range(B, len(A))))
         object.__setattr__(self, "A", _flip(A, sf))
         object.__setattr__(self, "B", _flip(B, sf))
 
@@ -168,7 +177,7 @@ def solve_linear_inequality(A, sf: Semifield = MAX_PLUS) -> InequalitySolution:
     the star family is guaranteed for irreducible ``A``; for reducible
     ``A`` the family is still sound and the result carries a warning.
     """
-    A = _image(A, sf, "square")
+    A = _image(A, sf, "walks")
     star = _star(A)
     tr_value = _tr(A, star)
     verdict = FeasibilityVerdict(feasible=tr_value <= 0.0, tr_value=_flip(tr_value, sf))
@@ -195,10 +204,8 @@ def _theta(A: np.ndarray, b_star: np.ndarray, tr_b: float, sf: Semifield) -> flo
 
 
 def _combined(theta: float, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # theta**-1 A (+) B, checked: an overflow raises DomainError
-    combined = np.maximum((0.0 - theta) + A, B)
-    _check_entries(combined)
-    return combined
+    # theta**-1 A (+) B
+    return np.maximum((0.0 - theta) + A, B)
 
 
 def compute_theta(A, B, sf: Semifield = MAX_PLUS) -> float:
@@ -243,7 +250,7 @@ def check_hypotheses(A, B, sf: Semifield = MAX_PLUS) -> dict[str, bool]:
     radius of ``A`` is nonzero exactly when the digraph of ``A`` has a
     cycle: always for an irreducible ``A`` on two or more nodes, and
     otherwise read from the zero pattern of ``A``, so no weight of ``A``
-    is summed and none can overflow or underflow here.
+    is summed.
     :func:`solve_constrained` evaluates the same dictionary and records
     it on its cone.
     """
@@ -322,7 +329,7 @@ def solve_unconstrained(A, sf: Semifield = MAX_PLUS) -> SolutionCone:
     ``A`` and the optimizers are ``x = (lam**-1 A)* u`` for regular ``u``:
     the constrained answer with ``B`` the zero matrix.
     """
-    A = _image(A, sf, "square")
+    A = _image(A, sf, "walks")
     if not _irreducible(A):
         raise HypothesisError("matrix is not irreducible", hypothesis="irreducibility")
     lam = _karp(A)
@@ -339,7 +346,8 @@ def is_solution(instance: ProblemInstance, theta: float, x) -> bool:
 
     A regular ``x`` is an optimizer iff ``(theta**-1 A (+) B) x <= x``
     elementwise, equivalently iff the closure fixes it.  ``theta`` must be
-    a finite scalar: NaN and either infinity raise :class:`DomainError`.
+    a finite scalar with ``|theta| <= 2**1000``: NaN, either infinity and a
+    larger value raise :class:`DomainError`.
     """
     sf = instance.semifield
     x = _image(x, sf, "vector")
@@ -347,8 +355,8 @@ def is_solution(instance: ProblemInstance, theta: float, x) -> bool:
         raise DomainError("optimizer membership is defined for regular vectors only")
     if x.shape[0] != instance.n:
         raise ShapeError(f"dimension mismatch {instance.A.shape} vs {x.shape}")
-    # theta is caller data: DomainError on NaN, the wrong-sign infinity or
-    # the zero element
+    # theta is caller data: DomainError on NaN, the wrong-sign infinity,
+    # the zero element or a value outside the range guard
     sf.inv(sf.scalar(theta))
-    combined = _combined(_flip(theta, sf), *instance._pair)
+    combined = _combined(_in_range(np.float64(_flip(theta, sf)), 1), *instance._pair)
     return bool(np.all(np.maximum(_mv(combined, x), x) == x))

@@ -7,11 +7,13 @@ It is computed by Karp's algorithm (Karp, Discrete Math. 23, 1978) in
 feasibility function deciding whether ``A x <= x`` has regular
 solutions, read from the bounded star as ``tr(A A*)``.  The traces of
 the powers of ``A``, whose m-th roots the paper sums to the same radius,
-are formed only by :func:`spectral_summary`, which reports them.  Every
-value is checked to be a scalar of the semifield, so an overflow to the
-wrong-sign infinity raises :class:`DomainError` instead of passing for a
-value.  The kernels are max-plus only; a ``MIN_PLUS`` matrix is negated
-once on entry and each result once on exit, which is exact (see
+are formed only by :func:`spectral_summary`, which reports them.
+``spectral_summary``, ``spectral_radius`` and ``big_tr`` bound their
+matrix on entry with the range guard of :mod:`tropsolve.tensor` (every
+finite ``|entry| <= 2**1000 / n**2``), so no walk weight in Karp's table,
+the star or the powers can leave the float range, and no value is checked
+after the fact.  The kernels are max-plus only; a ``MIN_PLUS`` matrix is
+negated once on entry and each result once on exit, which is exact (see
 :mod:`tropsolve.tensor`).
 """
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .semiring import MAX_PLUS, Semifield
-from .tensor import _check_entries, _flip, _image, _mm, _star
+from .tensor import _flip, _image, _mm, _star
 
 __all__ = [
     "SpectralSummary",
@@ -55,7 +57,6 @@ def _karp(A: np.ndarray) -> float:
     D[0] = 0.0
     for k in range(1, n + 1):
         D[k] = np.max(D[k - 1][:, None] + A, axis=0)
-    _check_entries(D)
     ends = D[n] != -np.inf
     if not ends.any():
         return -np.inf
@@ -67,9 +68,7 @@ def _karp(A: np.ndarray) -> float:
 
 def _tr(A: np.ndarray, S: np.ndarray) -> float:
     # Tr(A) = tr(A S) with S = A*: max_ik A_ik + S_ki, no product formed
-    t = np.max(A + S.T)
-    _check_entries(t)
-    return float(t)
+    return float(np.max(A + S.T))
 
 
 def _power_traces(A: np.ndarray, sf: Semifield) -> list[tuple[int, float]]:
@@ -77,7 +76,7 @@ def _power_traces(A: np.ndarray, sf: Semifield) -> list[tuple[int, float]]:
     out = []
     P = A
     for m in range(1, n + 1):
-        out.append((m, sf.scalar(_flip(np.max(np.diagonal(P)), sf))))
+        out.append((m, float(_flip(np.max(np.diagonal(P)), sf))))
         if m < n:
             P = _mm(P, A)
     return out
@@ -85,7 +84,7 @@ def _power_traces(A: np.ndarray, sf: Semifield) -> list[tuple[int, float]]:
 
 def spectral_summary(A, sf: Semifield = MAX_PLUS) -> SpectralSummary:
     """Spectral radius with the traces ``tr(A**m)``, m = 1..n, for display."""
-    A = _image(A, sf, "square")
+    A = _image(A, sf, "walks")
     return SpectralSummary(
         radius=_flip(_karp(A), sf), per_power_traces=tuple(_power_traces(A, sf))
     )
@@ -94,7 +93,7 @@ def spectral_summary(A, sf: Semifield = MAX_PLUS) -> SpectralSummary:
 def spectral_radius(A, sf: Semifield = MAX_PLUS) -> float:
     """Maximal eigenvalue: the best cycle mean, equal to the (+)-sum over
     m = 1..n of tr(A**m) ** (1/m)."""
-    return _flip(_karp(_image(A, sf, "square")), sf)
+    return _flip(_karp(_image(A, sf, "walks")), sf)
 
 
 def big_tr(A, sf: Semifield = MAX_PLUS) -> float:
@@ -103,7 +102,7 @@ def big_tr(A, sf: Semifield = MAX_PLUS) -> float:
     ``A x <= x`` has regular solutions iff ``Tr(A) <= 1`` (the identity
     element); equivalently, iff no cycle weight exceeds the identity.
     """
-    A = _image(A, sf, "square")
+    A = _image(A, sf, "walks")
     return _flip(_tr(A, _star(A)), sf)
 
 

@@ -18,10 +18,17 @@ already validated.
 
 The zero element of the semifield (``-inf`` in max-plus) doubles as the
 missing-edge marker: a matrix is interpreted as a weighted digraph with
-an edge ``i -> j`` wherever ``A[i, j]`` is nonzero.  A result entry that
-overflows to the wrong-sign infinity (``+inf`` in the max-plus image) is
-no scalar: ``mat_mul``, ``mat_vec``, ``mat_pow``, ``scalar_mul`` and
-``kleene_star`` raise :class:`DomainError` for it.
+an edge ``i -> j`` wherever ``A[i, j]`` is nonzero.  Functions that sum
+walk weights (``kleene_star`` here, the spectral functions and the
+solver) bound their data where it enters: every finite entry of an
+n-by-n matrix must satisfy ``|x| <= 2**1000 / n**2``, or
+:class:`DomainError` is raised.  A walk of at most n edges weighs at
+most n times the largest entry (Butkovic, *Max-linear Systems*, 2010,
+ch. 1), so no sum those functions form can then leave the float range,
+and none of their results is checked after the fact.  ``mat_mul``,
+``mat_vec``, ``mat_pow`` and ``scalar_mul`` accept any data, and raise
+:class:`DomainError` for a result entry that overflows to the wrong-sign
+infinity (``+inf`` in the max-plus image).
 
 The bounded star is one Floyd-Warshall pass, ``O(n**3)`` time and
 ``O(n**2)`` memory, whenever no cycle weight exceeds the identity.  Every
@@ -82,6 +89,30 @@ def _check_entries(X, sf: Semifield | None = None) -> None:
     )
 
 
+# every sum a guarded function forms is a walk weight of at most n**2
+# edges (an entry of Karp's table on A B*), or the sum of two such, so
+# finite entries within _RANGE / n**2 keep it within 2 * _RANGE, far below
+# the largest float (about 2**1024); the one exception, a Floyd-Warshall
+# pass on a positive cycle, only selects the power (see _star)
+_RANGE = 2.0**1000
+
+
+def _in_range(X, n: int):
+    # the range guard on a max-plus image (an array or numpy scalar of finite
+    # entries and -inf only); the bound is divided by n**2 rather than
+    # n**2 * max formed, which can itself overflow.  (On a 2-core Xeon VM
+    # with numpy 2.4, a masked np.max(np.abs(X), where=...) took 170 us at
+    # n = 128 with half the entries -inf, these comparisons about 10 us.)
+    bound = _RANGE / n**2
+    if X.max() > bound or ((X < -bound) & (X != -np.inf)).any():
+        raise DomainError(
+            "entry out of range: every finite entry x of an n-by-n matrix (and "
+            "theta, with n = 1) needs |x| <= 2**1000 / n**2, so that no walk "
+            "weight leaves the float range"
+        )
+    return X
+
+
 def _flip(X, sf: Semifield):
     # the max-plus image of caller data, and the caller's view of a kernel
     # result: the identity in max-plus, 0.0 - X in min-plus (never -0.0)
@@ -93,24 +124,26 @@ def _image(entries, sf: Semifield, kind: str = "array") -> np.ndarray:
     as its max-plus image.
 
     ``kind`` is ``"vector"`` (1-d, length >= 1), ``"matrix"`` (2-d, both
-    sizes >= 1), ``"square"`` or ``"array"`` (any shape).  Ragged or
-    non-numeric data and a wrong shape raise :class:`ShapeError`; NaN and
-    the infinity opposite to the zero element raise :class:`DomainError`.
+    sizes >= 1), ``"square"``, ``"walks"`` (square, within the range
+    guard ``_in_range``) or ``"array"`` (any shape).  Ragged or
+    non-numeric data and a wrong shape raise :class:`ShapeError`; NaN,
+    the infinity opposite to the zero element and, for ``"walks"``, an
+    entry outside the guard raise :class:`DomainError`.
     """
     try:
         X = np.array(entries, dtype=np.float64)
     except (TypeError, ValueError) as exc:
-        noun = "matrix" if kind in ("matrix", "square") else "array"
+        noun = "array" if kind in ("vector", "array") else "matrix"
         raise ShapeError(f"not a rectangular {noun}: {exc}") from None
     if kind == "vector" and (X.ndim != 1 or X.shape[0] < 1):
         raise ShapeError(f"expected a 1-d vector of positive length, got shape {X.shape}")
-    if kind in ("matrix", "square") and (X.ndim != 2 or min(X.shape) < 1):
+    if kind in ("matrix", "square", "walks") and (X.ndim != 2 or min(X.shape) < 1):
         raise ShapeError(f"expected a 2-d matrix with positive sizes, got shape {X.shape}")
     X = _flip(X, sf)
     _check_entries(X, sf)
-    if kind == "square" and X.shape[0] != X.shape[1]:
+    if kind in ("square", "walks") and X.shape[0] != X.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {X.shape}")
-    return X
+    return _in_range(X, X.shape[0]) if kind == "walks" else X
 
 
 def as_matrix(entries, sf: Semifield = MAX_PLUS) -> np.ndarray:
@@ -248,23 +281,24 @@ def _star(A: np.ndarray) -> np.ndarray:
     # Floyd-Warshall: after step k, S[i, j] is the heaviest walk from i to j
     # whose inner nodes are among 0..k.  With no positive cycle (no diagonal
     # entry above 0) the heaviest walk is a simple path, so S with its
-    # diagonal set to 0.0 is exactly the bounded star.  A positive cycle, or
-    # an overflow to +inf or NaN, takes the power (I (+) A)**(n-1) instead,
-    # which is the bounded sum because (+) is idempotent, or raises
-    # DomainError.  (+ 0.0 copies A and turns -0.0 into 0.0.)  An overflow
-    # here only selects the power, so numpy is not asked to warn of it.
+    # diagonal set to 0.0 is exactly the bounded star.  A positive cycle
+    # takes the power (I (+) A)**(n-1) instead, which is the bounded sum
+    # because (+) is idempotent.  (+ 0.0 copies A and turns -0.0 into 0.0.)
+    # Callers pass data within the range guard, so the pass can overflow
+    # only on a positive cycle, whose weight it may double past the float
+    # range.  A diagonal entry on that cycle is then positive, +inf or NaN,
+    # never <= 0.0, so the overflow only selects the power, and numpy is not
+    # asked to warn of it.
     S = A + 0.0
     term = np.empty_like(S)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(S.shape[0]):
             np.add(S[:, k, None], S[k], out=term)
             np.maximum(S, term, out=S)
-    if (np.diagonal(S) <= 0.0).all() and (S < np.inf).all():
+    if (np.diagonal(S) <= 0.0).all():
         np.fill_diagonal(S, 0.0)
         return S
-    S = _pow(np.maximum(A + 0.0, identity_matrix(A.shape[0])), A.shape[0] - 1)
-    _check_entries(S)
-    return S
+    return _pow(np.maximum(A + 0.0, identity_matrix(A.shape[0])), A.shape[0] - 1)
 
 
 def kleene_star(A, sf: Semifield = MAX_PLUS) -> np.ndarray:
@@ -276,11 +310,11 @@ def kleene_star(A, sf: Semifield = MAX_PLUS) -> np.ndarray:
     Otherwise it is the power ``(I (+) A)**(n-1)``, equal to the bounded
     sum because ``(+)`` is idempotent, built by repeated squaring with at
     most ``2 log2 n`` products (``O(n**3 log n)``).  On non-integer data
-    the two orders of summation can differ in the last bits.  A path
-    weight that overflows to the wrong-sign infinity raises
-    :class:`DomainError`.
+    the two orders of summation can differ in the last bits.  A finite
+    entry with ``|x| > 2**1000 / n**2`` raises :class:`DomainError`, so no
+    path weight can leave the float range.
     """
-    return _flip(_star(_image(A, sf, "square")), sf)
+    return _flip(_star(_image(A, sf, "walks")), sf)
 
 
 def is_regular(x, sf: Semifield = MAX_PLUS) -> bool:

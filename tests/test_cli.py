@@ -408,11 +408,12 @@ class TestErrorChannels:
             return subprocess.run([sys.executable, "-m", "tropsolve", *argv], env=env,
                                   capture_output=True, text=True, timeout=120)
 
-        star = run("star", "-A", str(big))
-        assert (star.returncode, star.stderr) == (0, "")
-        theta = run("theta", "-A", str(big), "-B", str(b))
-        assert theta.returncode == 2
-        assert theta.stderr.startswith("error: ") and theta.stderr.count("\n") == 1
+        # 1e308 is outside the range guard of a 2-by-2 matrix
+        for argv in (("star", "-A", str(big)), ("theta", "-A", str(big), "-B", str(b))):
+            proc = run(*argv)
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("error: entry out of range")
+            assert proc.stderr.count("\n") == 1
 
     def test_parse_error_exits_two(self, tmp_path, capsys):
         p = tmp_path / "broken.mat"

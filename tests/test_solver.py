@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,7 +127,6 @@ class TestComputeTheta:
         # the solver's formula has no cap
         assert ts.compute_theta(A, A) == 0.0
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_is_a_domain_error(self):
         with pytest.raises(DomainError):
             ts.compute_theta([[1e308] * 2] * 2, [[-1.0, -1.0], [-1.0, -1.0]])
@@ -187,17 +188,21 @@ class TestSolveConstrained:
         assert not (cone.hypotheses["irreducible_A"] or cone.hypotheses["irreducible_B"])
 
     def test_underflowing_cycle_still_has_a_nonzero_spectral_radius(self):
-        # the 2-cycle weighs -2e308, which rounds to -inf in a sum of weights;
-        # the hypothesis is read from the zero pattern, which has the cycle
+        # a 2-cycle of weight -2e308 would round to -inf in a sum of weights,
+        # so the range guard refuses it where the pair enters, with no numpy
+        # warning; at the guard's edge the cycle is an ordinary cycle
         A = ts.as_matrix([[NEG_INF, -1e308], [-1e308, NEG_INF]])
-        assert ts.check_hypotheses(A, B2)["spectral_radius_positive"]
-        try:
-            # lambda(A B*) still underflows in Karp's table; that is no
-            # hypothesis of the closed form
-            with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (ts.check_hypotheses, ts.compute_theta):
+                with pytest.raises(DomainError, match="out of range"):
+                    call(A, B2)
+            with pytest.raises(DomainError, match="out of range"):
                 ts.solve_constrained(ts.ProblemInstance(A, B2))
-        except DomainError:
-            pass
+            edge = 2.0**1000 / 4
+            A = ts.as_matrix([[NEG_INF, -edge], [-edge, NEG_INF]])
+            assert ts.check_hypotheses(A, B2)["spectral_radius_positive"]
+            assert ts.solve_constrained(ts.ProblemInstance(A, B2)).theta == -edge
 
     @pytest.mark.parametrize(
         "pair_function",
@@ -231,10 +236,9 @@ class TestSolveConstrained:
         real = [f for f in report.failures if f.kind != "regularity"]
         assert real == []
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_is_a_domain_error(self):
-        instance = ts.ProblemInstance([[1e308] * 2] * 2, [[-1.0, -1.0], [-1.0, -1.0]])
         with pytest.raises(DomainError):
+            instance = ts.ProblemInstance([[1e308] * 2] * 2, [[-1.0, -1.0], [-1.0, -1.0]])
             ts.solve_constrained(instance)
 
     def test_n_64_solve_attains_planted_theta(self):
@@ -326,3 +330,15 @@ class TestIsSolution:
         for theta in (float("nan"), -sf.zero, sf.zero):
             with pytest.raises(DomainError):
                 ts.is_solution(instance, theta, [0, 1])
+
+    def test_a_theta_outside_the_range_guard_is_refused_without_a_warning(self):
+        # -theta + A would overflow in the combined matrix, so |theta| is
+        # bounded by 2**1000 before any sum is formed
+        instance = ts.ProblemInstance([[0, 2.5e300], [1, 0]], [[-1, -1], [-1, -1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="out of range"):
+                ts.is_solution(instance, -1.7976931348623157e308, [0, 0])
+            # theta**-1 A (+) B is B at theta = 2**1000, which fixes x = 0
+            assert ts.is_solution(instance, 2.0**1000, [0, 0])
+            assert not ts.is_solution(instance, -(2.0**1000), [0, 0])

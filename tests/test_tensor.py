@@ -216,15 +216,16 @@ class TestKleeneStar:
         assert np.array_equal(ts.kleene_star(A), horner)
 
     def test_an_overflow_that_selects_the_power_warns_of_nothing(self):
-        # 1e308 + 1e308 overflows in the Floyd-Warshall pass, which only
-        # selects the power (I (+) A)**1, and that power is finite
-        big = [[1e308] * 2] * 2
+        # every entry is at the range guard's edge, 2**1000 / 48**2: the
+        # positive cycles double walk weights past the float range in the
+        # Floyd-Warshall pass, which only selects the power (I (+) A)**47,
+        # and that power is finite (a walk of 47 edges)
+        b = 2.0**1000 / 48**2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            S = ts.kleene_star(big)
-        assert np.array_equal(S, np.maximum(ts.identity_matrix(2), big))
+            S = ts.kleene_star(np.full((48, 48), b))
+        assert np.array_equal(S, np.full((48, 48), 47 * b))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_is_a_domain_error(self):
         with pytest.raises(DomainError):
             ts.kleene_star([[1e308] * 3] * 3)
