@@ -40,11 +40,11 @@ trusted arrays.  Validation includes the range guard of
 :mod:`tropsolve.tensor`: a :class:`ProblemInstance` bounds ``A`` and
 ``B`` alike, ``solve_unconstrained`` and ``solve_linear_inequality``
 their matrix, by ``|entry| <= 2**1000 / n**2``, and :func:`is_solution`
-bounds ``|theta| <= 2**1000``.  Every sum a solve forms is a walk weight
-of at most ``n**2`` edges, so none can leave the float range and no
-kernel result is checked after the fact; only :func:`objective`, whose
-contract allows any data, checks its value.  Those kernels are max-plus
-only: a ``MIN_PLUS`` problem
+bounds ``|theta| <= 2**1000`` and every ``|x_i| <= 2**1000``.  Every sum
+a solve forms is a walk weight of at most ``n**2`` edges, so none can
+leave the float range and no kernel result is checked after the fact;
+only :func:`objective`, whose contract allows any data, checks its
+value.  Those kernels are max-plus only: a ``MIN_PLUS`` problem
 is negated once where it is validated (a :class:`ProblemInstance` maps
 its pair once) and every result is negated back once, which gives
 bitwise the min-plus answer (see :mod:`tropsolve.tensor`).
@@ -347,7 +347,9 @@ def is_solution(instance: ProblemInstance, theta: float, x) -> bool:
     A regular ``x`` is an optimizer iff ``(theta**-1 A (+) B) x <= x``
     elementwise, equivalently iff the closure fixes it.  ``theta`` must be
     a finite scalar with ``|theta| <= 2**1000``: NaN, either infinity and a
-    larger value raise :class:`DomainError`.
+    larger value raise :class:`DomainError`, and so does an entry of ``x``
+    with ``|x_i| > 2**1000``.  Within these bounds every sum
+    ``(A_ij - theta) + x_j`` stays below ``3 * 2**1000``.
     """
     sf = instance.semifield
     x = _image(x, sf, "vector")
@@ -359,4 +361,4 @@ def is_solution(instance: ProblemInstance, theta: float, x) -> bool:
     # the zero element or a value outside the range guard
     sf.inv(sf.scalar(theta))
     combined = _combined(_in_range(np.float64(_flip(theta, sf)), 1), *instance._pair)
-    return bool(np.all(np.maximum(_mv(combined, x), x) == x))
+    return bool(np.all(np.maximum(_mv(combined, _in_range(x, 1)), x) == x))

@@ -3,7 +3,12 @@
 The spectral radius of a square matrix is the best cycle mean of its
 digraph; it equals the extremal value ``min over regular x of x^- A x``.
 It is computed by Karp's algorithm (Karp, Discrete Math. 23, 1978) in
-``O(n**3)`` time and ``O(n**2)`` memory.  ``big_tr`` is the related
+``O(n**3)`` time and ``O(n**2)`` memory.  Karp's table holds walk
+weights of at most n edges; from n = 32 up, on integer data with ``n *
+max |entry| <= 2**22``, it is built in float32, where every such weight
+is an integer of at most ``2**22`` and exact, and cast to float64 before
+the ratios, so each candidate is the same correctly rounded division
+(``tensor._narrow``).  ``big_tr`` is the related
 feasibility function deciding whether ``A x <= x`` has regular
 solutions, read from the bounded star as ``tr(A A*)``.  The traces of
 the powers of ``A``, whose m-th roots the paper sums to the same radius,
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .semiring import MAX_PLUS, Semifield
-from .tensor import _flip, _image, _mm, _star
+from .tensor import _flip, _image, _mm, _narrow, _star
 
 __all__ = [
     "SpectralSummary",
@@ -51,12 +56,15 @@ def _karp(A: np.ndarray) -> float:
     # D[k, v]: best walk of exactly k edges ending at v, starting anywhere;
     # lambda = max over v with finite D[n, v] of the min over k < n of
     # (D[n, v] - D[k, v]) / (n - k).  Each candidate is one correctly
-    # rounded division, as in tr(A**m) / m.
+    # rounded division, as in tr(A**m) / m.  D is built on _narrow's copy,
+    # exact when that is float32, and the ratios are taken in float64.
     n = A.shape[0]
-    D = np.empty((n + 1, n))
+    A = _narrow(A)
+    D = np.empty((n + 1, n), dtype=A.dtype)
     D[0] = 0.0
     for k in range(1, n + 1):
         D[k] = np.max(D[k - 1][:, None] + A, axis=0)
+    D = D.astype(np.float64, copy=False)
     ends = D[n] != -np.inf
     if not ends.any():
         return -np.inf

@@ -38,7 +38,13 @@ such a cycle (``Tr > 1``) falls back to the power ``(I (+) A)**(n-1)``,
 which equals the bounded star because ``(+)`` is idempotent.  That power
 and ``mat_pow`` share one kernel, ``_pow``, which squares along the bits
 of the exponent: at most ``2 log2 p`` products, ``O(n**3 log n)`` for
-the star.  Generator reduction makes one vectorized pass per class
+the star.  From n = 32 up, on integer data with ``n * max |entry| <=
+2**22``, the Floyd-Warshall pass runs in float32 and is cast back to
+float64 once: every sum it forms on a matrix with no positive cycle is
+an integer below ``2**23``, exact in float32's 24-bit significand, and a
+positive cycle shows on the diagonal while the entries are still exact,
+so the same power is chosen and the star is bitwise the float64 one
+(``_narrow``).  Generator reduction makes one vectorized pass per class
 leader, the first kept column of a class of collinear columns, which
 drops the whole class at once; in a closure (zero diagonal) only columns
 that lie on a common zero-weight cycle, found in ``O(n**2)``, are
@@ -107,10 +113,44 @@ def _in_range(X, n: int):
     if X.max() > bound or ((X < -bound) & (X != -np.inf)).any():
         raise DomainError(
             "entry out of range: every finite entry x of an n-by-n matrix (and "
-            "theta, with n = 1) needs |x| <= 2**1000 / n**2, so that no walk "
-            "weight leaves the float range"
+            "theta and each entry of is_solution's point, with n = 1) needs "
+            "|x| <= 2**1000 / n**2, so that no walk weight leaves the float range"
         )
     return X
+
+
+# the smallest n whose Floyd-Warshall and Karp passes run on _narrow's copy.
+# Measured on a 2-core Xeon VM with numpy 2.4, median time ratio float32 /
+# float64 over 400 interleaved calls on integer data with 30% zero elements,
+# the checks included: star 1.05 and Karp 1.05-1.06 at n = 24..28, 0.97 at
+# n = 32, star 0.82-0.91 and Karp 0.96-1.00 at n = 36..48, 0.71 and 0.80 at
+# n = 64.  The three checks cost 8-16 us.
+_NARROW_MIN = 32
+
+
+def _narrow(A: np.ndarray) -> np.ndarray:
+    # A float32 copy of the max-plus image A when every finite entry is an
+    # integer with n * |x| <= 2**22, else A itself (no copy).  The bound is
+    # checked before the cast, which would warn of an overflow on larger data.
+    # Why _star and _karp return bitwise their float64 results on the copy:
+    # - no positive cycle: every Floyd-Warshall entry is a simple-path weight,
+    #   so every candidate sum has magnitude at most 2 (n-1) max < 2**23, and
+    #   every Karp entry is a walk of at most n edges, at most 2**22; float32's
+    #   24-bit significand holds all of these integers exactly;
+    # - a positive cycle: the first positive diagonal entry is summed from
+    #   entries that are still exact, Floyd-Warshall entries never decrease,
+    #   and a later +inf or NaN is never <= 0, so the same fallback is chosen.
+    n = A.shape[0]
+    if n < _NARROW_MIN:
+        return A
+    bound = 2.0**22 / n
+    if (
+        A.max() > bound
+        or ((A < -bound) & (A != -np.inf)).any()
+        or not (np.floor(A) == A).all()
+    ):
+        return A
+    return A.astype(np.float32)
 
 
 def _flip(X, sf: Semifield):
@@ -289,7 +329,7 @@ def _star(A: np.ndarray) -> np.ndarray:
     # range.  A diagonal entry on that cycle is then positive, +inf or NaN,
     # never <= 0.0, so the overflow only selects the power, and numpy is not
     # asked to warn of it.
-    S = A + 0.0
+    S = _narrow(A) + 0.0
     term = np.empty_like(S)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(S.shape[0]):
@@ -297,7 +337,7 @@ def _star(A: np.ndarray) -> np.ndarray:
             np.maximum(S, term, out=S)
     if (np.diagonal(S) <= 0.0).all():
         np.fill_diagonal(S, 0.0)
-        return S
+        return S.astype(np.float64, copy=False)
     return _pow(np.maximum(A + 0.0, identity_matrix(A.shape[0])), A.shape[0] - 1)
 
 

@@ -66,6 +66,36 @@ def test_working_memory_is_quadratic(big, name, call):
     assert traced_peak(call, big) < 16 * N * N * 8, name
 
 
+def test_small_integer_data_takes_the_float32_kernels(big):
+    # n * max |entry| <= 2**22 (16384 at n = 256) on integer data only
+    assert tensor._narrow(big).dtype == np.float32
+    edge = big.copy()
+    edge[0, 1], edge[1, 0] = 2**22 // N, -(2**22 // N)
+    assert tensor._narrow(edge).dtype == np.float32
+    above, below = edge.copy(), edge.copy()
+    above[0, 1] += 1
+    below[1, 0] -= 1
+    small = big[: tensor._NARROW_MIN - 1, : tensor._NARROW_MIN - 1]
+    for X in (big / 7, above, below, small):
+        assert tensor._narrow(X) is X
+
+
+def test_star_and_karp_run_on_the_narrow_copy(big, monkeypatch):
+    dtypes = []
+    inner = tensor._narrow
+
+    def recorded(A):
+        narrowed = inner(A)
+        dtypes.append(narrowed.dtype)
+        return narrowed
+
+    monkeypatch.setattr(tensor, "_narrow", recorded)
+    monkeypatch.setattr(spectral, "_narrow", recorded)
+    ts.kleene_star(big)
+    ts.spectral_radius(big)
+    assert dtypes == [np.float32, np.float32]
+
+
 def test_one_zero_weight_cycle_reduces_to_one_column(one_cycle_closure):
     assert ts.reduce_generators(one_cycle_closure).shape == (N, 1)
     assert traced_peak(ts.reduce_generators, one_cycle_closure) < 16 * N * N * 8

@@ -1,7 +1,7 @@
 """The range guard: functions that sum walk weights bound their data on entry.
 
 Every finite entry of an n-by-n matrix must satisfy ``|x| <= 2**1000 /
-n**2`` (and ``|theta| <= 2**1000`` in ``is_solution``).  At the edge a
+n**2`` (and ``|theta|``, ``|x_i| <= 2**1000`` in ``is_solution``).  At the edge a
 guarded function returns scalars only and warns of nothing; one ulp past
 it, it raises the guard's one :class:`DomainError`, in either semifield.
 Inside the guard no walk weight overflows or underflows, so the library
@@ -43,7 +43,7 @@ def edge_data(beyond=False):
     B = np.full((N, N), -EDGE)
     B[1, 0] = -past
     theta = np.nextafter(LIMIT, math.inf) if beyond else LIMIT
-    return A, B, theta, np.array([0.0, 1.0, 2.0])
+    return A, B, theta, np.array([0.0, 1.0, theta])
 
 
 def edge_instance(sf):

@@ -342,3 +342,17 @@ class TestIsSolution:
             # theta**-1 A (+) B is B at theta = 2**1000, which fixes x = 0
             assert ts.is_solution(instance, 2.0**1000, [0, 0])
             assert not ts.is_solution(instance, -(2.0**1000), [0, 0])
+
+    def test_an_x_outside_the_range_guard_is_refused_without_a_warning(self):
+        # with x_0 at the float maximum, (A - theta) + x overflows in the
+        # first case, and the + 1 of (A x)_0 = x_0 + 1 is absorbed in the
+        # second, which made x look like a member
+        instance = ts.ProblemInstance([[0, 1], [1, 0]], [[-1, -1], [-1, -1]])
+        top = 1.7976931348623157e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="out of range"):
+                ts.is_solution(instance, -(2.0**1000), [top, 0])
+            with pytest.raises(DomainError, match="out of range"):
+                ts.is_solution(instance, 0, [top, top])
+            assert ts.is_solution(instance, 1, [2.0**1000, 2.0**1000])
